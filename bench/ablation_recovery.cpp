@@ -40,7 +40,11 @@ int main() {
     const hv::Injection inj =
         fault::InjectionExperiment::draw_activated_injection(
             rng, probe.trace, golden.microvisor().program);
-    recovery.checkpoint(act);  // the VM-exit-side copy
+    // The VM-exit-side copy is taken on the faulty machine, so first
+    // align it with the golden pre-run state (advance() moves only the
+    // golden machine).
+    faulty.restore(probe.pre);
+    recovery.checkpoint(act);
     const auto result = exp.run_one(act, inj);
     if (result.record.detected) {
       Tally& t = by_technique[result.record.technique];
@@ -50,8 +54,6 @@ int main() {
       t.exact +=
           hv::Machine::diff_persistent_state(golden, faulty).empty() ? 1 : 0;
     }
-    // Re-align and continue the stream.
-    faulty.restore(golden.snapshot());
     exp.advance(gen.next());
   }
 

@@ -340,9 +340,10 @@ CampaignResult run_shard(
   // Telemetry placement follows the cost structure: the FAULTY machine
   // runs exactly once per injection (the interesting run — behavior under
   // fault), so it carries the per-VM-exit span and the flight-recorder
-  // ring.  The GOLDEN machine runs ~4x as often (probe + advances), so it
-  // carries only the passive snapshot/restore histograms; its probe run
-  // is timed by the enclosing phase:golden_probe span instead.
+  // ring.  The GOLDEN machine runs 1 + stream_gap times as often (the
+  // probe plus the golden-only advances), so it carries only the passive
+  // snapshot/restore histograms and copy counters; its probe run is timed
+  // by the enclosing phase:golden_probe span instead.
   obs::MachineTelemetry golden_hooks, faulty_hooks;
   if (oo.tracing) {
     faulty_hooks.trace = &result.trace;
@@ -357,6 +358,10 @@ CampaignResult run_shard(
     obs::Log2Histogram* rest = &result.metrics.histogram("machine.restore_ns");
     golden_hooks.snapshot_ns = faulty_hooks.snapshot_ns = snap;
     golden_hooks.restore_ns = faulty_hooks.restore_ns = rest;
+    obs::Counter* snap_words = &result.metrics.counter("machine.snapshot_words");
+    obs::Counter* rest_words = &result.metrics.counter("machine.restore_words");
+    golden_hooks.snapshot_words = faulty_hooks.snapshot_words = snap_words;
+    golden_hooks.restore_words = faulty_hooks.restore_words = rest_words;
   }
   if (oo.metrics) golden.set_telemetry(&golden_hooks);
   if (oo.any()) faulty.set_telemetry(&faulty_hooks);

@@ -34,16 +34,6 @@ hv::Injection InjectionExperiment::draw_injection(
 
 void InjectionExperiment::advance(const hv::Activation& activation) {
   golden_.run(activation);
-  golden_.snapshot_into(sync_snap_);
-  faulty_.restore(sync_snap_);
-}
-
-std::uint64_t InjectionExperiment::measure_golden_steps(
-    const hv::Activation& activation) {
-  golden_.snapshot_into(sync_snap_);
-  const hv::RunResult res = golden_.run(activation);
-  golden_.restore(sync_snap_);
-  return res.steps;
 }
 
 InjectionExperiment::GoldenProbe InjectionExperiment::probe_golden(

@@ -87,9 +87,11 @@ class InjectionExperiment {
     hv::Machine::Snapshot pre;
   };
 
-  /// Runs one experiment.  Both machines start from the golden machine's
-  /// current state and end in their respective post-run states, so a
-  /// stream of calls naturally advances along the golden path.
+  /// Runs one experiment.  The golden machine runs from its current
+  /// state; the faulty machine is first realigned to that same pre-run
+  /// state (whatever it held before is irrelevant).  Both end in their
+  /// respective post-run states, so a stream of calls naturally advances
+  /// along the golden path.
   Result run_one(const hv::Activation& activation,
                  const hv::Injection& injection);
 
@@ -97,21 +99,21 @@ class InjectionExperiment {
   /// golden run's trace/counters/steps from `probe` (which must come from
   /// probe_golden_advance with the same activation — its run IS this
   /// experiment's golden run, and the golden machine is already at its
-  /// post-run state).  Halves golden executions per injection versus
-  /// probe_golden + run_one, with bit-identical results.
+  /// post-run state).  The faulty machine is realigned from `probe.pre`
+  /// first.  Halves golden executions per injection versus probe_golden +
+  /// run_one, with bit-identical results.
   Result run_one(const hv::Activation& activation,
                  const hv::Injection& injection, const GoldenProbe& probe);
 
-  /// Runs the activation fault-free on both machines (keeps them in
-  /// lock-step between experiments).
+  /// Advances the golden stream: runs the activation fault-free on the
+  /// golden machine only.  The faulty machine is left untouched — every
+  /// faulted run (and every forensics replay) realigns it from the golden
+  /// probe's pre-run state, so keeping it in lock-step here would be a
+  /// copy nobody reads.
   void advance(const hv::Activation& activation);
 
   /// Steps of the most recent golden run (for drawing injection points).
   std::uint64_t last_golden_steps() const { return last_golden_steps_; }
-
-  /// Runs the activation clean once (on a scratch state) just to measure
-  /// its dynamic length, restoring state afterwards.
-  std::uint64_t measure_golden_steps(const hv::Activation& activation);
 
   /// Attaches the shard's VM-exit ring: when an injection's outcome is
   /// SDC / crash class (`is_blackbox_worthy`), the ring is dumped into
@@ -139,9 +141,10 @@ class InjectionExperiment {
   std::uint64_t forensics_counter() const { return forensics_counter_; }
   void set_forensics_counter(std::uint64_t n) { forensics_counter_ = n; }
 
-  /// Like measure_golden_steps but also captures the control-flow trace
-  /// (for activated-biased injection draws).  Restores the golden machine
-  /// to its pre-run state afterwards.
+  /// Runs the activation clean once on the golden machine to measure its
+  /// dynamic length and control-flow trace (for activated-biased
+  /// injection draws).  Restores the golden machine to its pre-run state
+  /// afterwards.
   GoldenProbe probe_golden(const hv::Activation& activation);
 
   /// Campaign fast path: like probe_golden, but the golden machine is
@@ -181,7 +184,6 @@ class InjectionExperiment {
   // Scratch buffers reused across injections (allocation hygiene: the
   // campaign loop must not reallocate traces/snapshots per run).
   GoldenProbe scratch_probe_;          ///< for the two-run run_one overload
-  hv::Machine::Snapshot sync_snap_;    ///< for advance()/measure_golden_steps
   hv::Machine::Snapshot forensics_post_;  ///< golden post-state across replay
   std::vector<sim::Addr> fault_trace_; ///< faulted run's control-flow trace
 };

@@ -729,29 +729,27 @@ inline std::uint64_t now_ns() {
 }  // namespace
 
 void Machine::snapshot_into(Snapshot& out) const {
-  if (telemetry_ != nullptr && telemetry_->snapshot_ns != nullptr &&
-      snapshot_calls_++ % kTimingSampleEvery == 0) {
-    const std::uint64_t t0 = now_ns();
-    mem_.snapshot_into(out.memory);
-    out.tsc = cpu_.tsc();
-    telemetry_->snapshot_ns->observe(now_ns() - t0);
-    return;
-  }
-  mem_.snapshot_into(out.memory);
+  const obs::MachineTelemetry* const t = telemetry_;
+  const bool timed = t != nullptr && t->snapshot_ns != nullptr &&
+                     snapshot_calls_++ % kTimingSampleEvery == 0;
+  const std::uint64_t t0 = timed ? now_ns() : 0;
+  const std::size_t words = mem_.snapshot_into(out.memory);
   out.tsc = cpu_.tsc();
+  if (timed) t->snapshot_ns->observe(now_ns() - t0);
+  if (t != nullptr && t->snapshot_words != nullptr) {
+    t->snapshot_words->inc(words);
+  }
 }
 
 void Machine::restore(const Snapshot& snap) {
-  if (telemetry_ != nullptr && telemetry_->restore_ns != nullptr &&
-      restore_calls_++ % kTimingSampleEvery == 0) {
-    const std::uint64_t t0 = now_ns();
-    mem_.restore(snap.memory);
-    cpu_.set_tsc(snap.tsc);
-    telemetry_->restore_ns->observe(now_ns() - t0);
-    return;
-  }
-  mem_.restore(snap.memory);
+  const obs::MachineTelemetry* const t = telemetry_;
+  const bool timed = t != nullptr && t->restore_ns != nullptr &&
+                     restore_calls_++ % kTimingSampleEvery == 0;
+  const std::uint64_t t0 = timed ? now_ns() : 0;
+  const std::size_t words = mem_.restore(snap.memory);
   cpu_.set_tsc(snap.tsc);
+  if (timed) t->restore_ns->observe(now_ns() - t0);
+  if (t != nullptr && t->restore_words != nullptr) t->restore_words->inc(words);
 }
 
 std::vector<StateDiff> Machine::diff_persistent_state(const Machine& golden,

@@ -184,10 +184,13 @@ MetricsRegistry merge_snapshots(const std::vector<MetricsSnapshot>& snaps) {
 
 bool is_timing_metric(std::string_view name) {
   // Wall-clock-derived families: latency histograms (…_ns/…_us) and
-  // throughput rates (…per_sec, …elapsed…).
+  // throughput rates (…per_sec, …elapsed…).  Plus the machine copy
+  // counters (machine.…_words): they follow the snapshot buffers' reuse,
+  // which a resumed or restarted process starts cold.
   return name.ends_with("_ns") || name.ends_with("_us") ||
          name.find("per_sec") != std::string_view::npos ||
-         name.find("elapsed") != std::string_view::npos;
+         name.find("elapsed") != std::string_view::npos ||
+         (name.starts_with("machine.") && name.ends_with("_words"));
 }
 
 MetricsRegistry strip_timing_metrics(const MetricsRegistry& reg) {

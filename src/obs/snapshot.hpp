@@ -18,9 +18,10 @@
 //     so carrying cumulative values keeps the merge exact).
 //
 // Timing-derived metrics (wall-clock rates, snapshot/restore latency
-// histograms) are inherently nondeterministic across runs;
-// `strip_timing_metrics` removes them so "identical metrics" comparisons
-// are well-defined.
+// histograms) are inherently nondeterministic across runs, and the
+// machine copy counters differ between an uninterrupted and a resumed
+// run; `strip_timing_metrics` removes both so "identical metrics"
+// comparisons are well-defined.
 #pragma once
 
 #include <cstdint>
@@ -90,7 +91,9 @@ std::vector<MetricsSnapshot> read_snapshots(std::string_view text);
 MetricsRegistry merge_snapshots(const std::vector<MetricsSnapshot>& snaps);
 
 /// True for metrics derived from wall-clock time (rates, latency
-/// histograms) that legitimately differ between byte-identical runs.
+/// histograms) that legitimately differ between byte-identical runs, and
+/// for the machine copy counters, which legitimately differ between an
+/// uninterrupted run and a resumed one.
 bool is_timing_metric(std::string_view name);
 
 /// Copy of `reg` without timing metrics — the comparable projection.

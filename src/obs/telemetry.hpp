@@ -30,6 +30,10 @@ struct MachineTelemetry {
   /// timing.
   Log2Histogram* snapshot_ns = nullptr;
   Log2Histogram* restore_ns = nullptr;
+  /// Memory words copied by snapshot_into / restore (deterministic work
+  /// counters behind the timing above).  Null: not counted.
+  Counter* snapshot_words = nullptr;
+  Counter* restore_words = nullptr;
 };
 
 }  // namespace xentry::obs

@@ -127,15 +127,20 @@ StepInfo Cpu::run_jit_loop(std::uint64_t max_steps, bool& deopted,
   // now that dispatch is cheap.  Entry 0 is the most recent; refills
   // rotate 0 into 1.  A read-install leaves the write size 0, so the
   // first write through that region re-installs it and bumps the
-  // region's mutation generation exactly once before any raw store
-  // (Memory::DirectSpan documents why that preserves the generation
-  // contract).  Two entries cover the stack/data alternation of handler
-  // code; shadow-stack mirror accesses go through Memory's own hinted
-  // path instead so they do not thrash the pair.
+  // region's mutation generation exactly once before any raw store;
+  // each raw store then stamps that install generation (t*g) into its
+  // block's entry of the block-generation array (t*bg), one extra store
+  // per write (Memory::DirectSpan documents why that preserves the
+  // generation contract).  Two entries cover the stack/data alternation
+  // of handler code; shadow-stack mirror accesses go through Memory's own
+  // hinted path instead so they do not thrash the pair.
   Addr t0b = 0, t0s = 0, t0ws = 0;
   Addr t1b = 0, t1s = 0, t1ws = 0;
   Word* t0d = nullptr;
   Word* t1d = nullptr;
+  std::uint64_t* t0bg = nullptr;
+  std::uint64_t* t1bg = nullptr;
+  std::uint64_t t0g = 0, t1g = 0;
 
   if (max_steps == 0) {
     // The reference engine watchdogs before fetching anything.
@@ -237,6 +242,7 @@ StepInfo Cpu::run_jit_loop(std::uint64_t max_steps, bool& deopted,
       const Memory::DirectSpan xr_s = mem.direct_span(xr_a);          \
       if (xr_s.size != 0) {                                           \
         t1b = t0b; t1s = t0s; t1ws = t0ws; t1d = t0d;                 \
+        t1bg = t0bg; t1g = t0g;                                       \
         t0b = xr_s.base; t0s = xr_s.size; t0ws = 0; t0d = xr_s.data;  \
         out = t0d[xr_a - t0b];                                        \
       } else {                                                        \
@@ -246,7 +252,8 @@ StepInfo Cpu::run_jit_loop(std::uint64_t max_steps, bool& deopted,
   } while (0)
 
 // Writes `v` at `a`; sets `tr` when unmapped or read-only.  A write
-// install bumps the region generation once, before the first raw store.
+// install bumps the region generation once, before the first raw store;
+// every raw store stamps that generation into its block.
 #define XJ_WRITE(a, v)                                                \
   do {                                                                \
     const Addr xw_a = (a);                                            \
@@ -254,15 +261,20 @@ StepInfo Cpu::run_jit_loop(std::uint64_t max_steps, bool& deopted,
     Addr xw_o = xw_a - t0b;                                           \
     if (xw_o < t0ws) {                                                \
       t0d[xw_o] = xw_v;                                               \
+      t0bg[xw_o >> Memory::kBlockShift] = t0g;                        \
     } else if ((xw_o = xw_a - t1b) < t1ws) {                          \
       t1d[xw_o] = xw_v;                                               \
+      t1bg[xw_o >> Memory::kBlockShift] = t1g;                        \
     } else {                                                          \
       const Memory::DirectSpan xw_s = mem.direct_span(xw_a);          \
       if (xw_s.size != 0 && xw_s.writable) {                          \
-        ++*xw_s.gen;                                                  \
         t1b = t0b; t1s = t0s; t1ws = t0ws; t1d = t0d;                 \
+        t1bg = t0bg; t1g = t0g;                                       \
         t0b = xw_s.base; t0s = t0ws = xw_s.size; t0d = xw_s.data;     \
-        t0d[xw_a - t0b] = xw_v;                                       \
+        t0bg = xw_s.block_gen; t0g = ++*xw_s.gen;                     \
+        xw_o = xw_a - t0b;                                            \
+        t0d[xw_o] = xw_v;                                             \
+        t0bg[xw_o >> Memory::kBlockShift] = t0g;                      \
       } else {                                                        \
         tr = mem.write(xw_a, xw_v);                                   \
       }                                                               \

@@ -16,6 +16,20 @@ std::uint64_t next_memory_id() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
+constexpr Addr kBlockWords = Addr{1} << Memory::kBlockShift;
+
+/// Copies block `b` of a region of `size` words from `src` to `dst` and
+/// returns the number of words copied (the last block may be short).
+std::size_t copy_block(const std::vector<Word>& src, std::vector<Word>& dst,
+                       std::size_t b, Addr size) {
+  const Addr lo = static_cast<Addr>(b) << Memory::kBlockShift;
+  const Addr hi = std::min(lo + kBlockWords, size);
+  std::copy(src.begin() + static_cast<std::ptrdiff_t>(lo),
+            src.begin() + static_cast<std::ptrdiff_t>(hi),
+            dst.begin() + static_cast<std::ptrdiff_t>(lo));
+  return static_cast<std::size_t>(hi - lo);
+}
+
 }  // namespace
 
 Memory::Memory() : id_(next_memory_id()) {}
@@ -55,6 +69,7 @@ std::size_t Memory::map(Addr base, Addr size, Perm perm, std::string name) {
   region.perm = perm;
   region.name = std::move(name);
   region.data.assign(size, 0);
+  region.block_gen.assign((size + kBlockWords - 1) >> kBlockShift, 0);
   auto it = std::upper_bound(
       regions_.begin(), regions_.end(), base,
       [](Addr b, const Region& r) { return b < r.base; });
@@ -103,8 +118,7 @@ Trap Memory::write_slow(Addr a, Word v) {
   if (r->perm != Perm::ReadWrite) {
     return Trap{TrapKind::GeneralProtection, a, 0};
   }
-  r->data[a - r->base] = v;
-  ++r->gen;
+  r->store(a - r->base, v);
   return {};
 }
 
@@ -119,16 +133,19 @@ void Memory::poke_slow(Addr a, Word v) {
   Region* r = find(a);
   assert(r != nullptr && "poke of unmapped address");
   if (r == nullptr) std::abort();
-  r->data[a - r->base] = v;
-  ++r->gen;
+  r->store(a - r->base, v);
 }
 
 Word* Memory::poke_span(Addr a, Addr len) {
   Region* r = find(a);
   assert(r != nullptr && "poke_span of unmapped address");
   if (r == nullptr || len == 0 || a - r->base + len > r->size) std::abort();
-  ++r->gen;
-  return &r->data[a - r->base];
+  const Addr off = a - r->base;
+  const auto first = static_cast<std::ptrdiff_t>(off >> kBlockShift);
+  const auto last = static_cast<std::ptrdiff_t>((off + len - 1) >> kBlockShift);
+  std::fill(r->block_gen.begin() + first, r->block_gen.begin() + last + 1,
+            ++r->gen);
+  return &r->data[off];
 }
 
 Memory::DirectSpan Memory::direct_span(Addr a) {
@@ -139,6 +156,7 @@ Memory::DirectSpan Memory::direct_span(Addr a) {
   s.size = r->size;
   s.data = r->data.data();
   s.gen = &r->gen;
+  s.block_gen = r->block_gen.data();
   s.writable = r->perm == Perm::ReadWrite;
   return s;
 }
@@ -149,45 +167,72 @@ Memory::Snapshot Memory::snapshot() const {
   return snap;
 }
 
-void Memory::snapshot_into(Snapshot& out) const {
-  const bool fresh =
-      out.source_id != id_ || out.regions.size() != regions_.size();
-  if (fresh) {
+std::size_t Memory::snapshot_into(Snapshot& out) const {
+  if (out.source_id != id_ || out.regions.size() != regions_.size()) {
+    // Captured from another Memory (or never): nothing in `out` is reusable.
     out.regions.clear();
     out.regions.resize(regions_.size());
   }
+  std::size_t copied = 0;
   for (std::size_t i = 0; i < regions_.size(); ++i) {
+    const Region& r = regions_[i];
     Snapshot::RegionImage& img = out.regions[i];
-    if (!fresh && img.gen == regions_[i].gen &&
-        img.data.size() == regions_[i].data.size()) {
-      continue;  // unchanged since the last capture into `out`
+    if (img.data.size() != r.data.size()) {
+      img.data = r.data;  // assign reuses existing capacity
+      img.block_gen = r.block_gen;
+      copied += r.data.size();
+    } else if (img.gen != r.gen) {
+      for (std::size_t b = 0; b < r.block_gen.size(); ++b) {
+        if (img.block_gen[b] == r.block_gen[b]) continue;
+        copied += copy_block(r.data, img.data, b, r.size);
+        img.block_gen[b] = r.block_gen[b];
+      }
     }
-    img.data = regions_[i].data;  // assign reuses existing capacity
-    img.gen = regions_[i].gen;
+    img.gen = r.gen;
   }
   out.source_id = id_;
+  return copied;
 }
 
-void Memory::restore(const Snapshot& snap) {
+std::size_t Memory::restore(const Snapshot& snap) {
   assert(snap.regions.size() == regions_.size());
+  std::size_t copied = 0;
   for (std::size_t i = 0; i < regions_.size(); ++i) {
     Region& r = regions_[i];
     SyncState& s = sync_[i];
-    assert(snap.regions[i].data.size() == r.data.size());
-    const bool in_sync = s.source_id != 0 &&
-                         s.source_id == snap.source_id &&
-                         s.source_gen == snap.regions[i].gen &&
-                         s.own_gen == r.gen;
-    if (!in_sync) {
-      // std::copy into the existing buffer: no reallocation.
-      std::copy(snap.regions[i].data.begin(), snap.regions[i].data.end(),
-                r.data.begin());
-      ++r.gen;
+    const Snapshot::RegionImage& img = snap.regions[i];
+    assert(img.data.size() == r.data.size());
+    const bool same_source = s.source_id != 0 && s.source_id == snap.source_id;
+    if (same_source && s.source_gen == img.gen && s.own_gen == r.gen) {
+      continue;  // untouched on both sides since the last sync
     }
+    const std::uint64_t stamp = r.gen + 1;
+    const std::size_t copied_before = copied;
+    if (!same_source) {
+      // Another source, or a foreign image (source_id 0) that carries no
+      // block generations: copy the region whole.
+      std::copy(img.data.begin(), img.data.end(), r.data.begin());
+      std::fill(r.block_gen.begin(), r.block_gen.end(), stamp);
+      s.source_block_gen = img.block_gen;
+      copied += r.data.size();
+    } else {
+      assert(img.block_gen.size() == r.block_gen.size());
+      for (std::size_t b = 0; b < r.block_gen.size(); ++b) {
+        if (s.source_block_gen[b] == img.block_gen[b] &&
+            r.block_gen[b] <= s.own_gen) {
+          continue;  // untouched on both sides since the last sync
+        }
+        copied += copy_block(img.data, r.data, b, r.size);
+        r.block_gen[b] = stamp;
+        s.source_block_gen[b] = img.block_gen[b];
+      }
+    }
+    if (copied != copied_before) r.gen = stamp;
     s.source_id = snap.source_id;
-    s.source_gen = snap.regions[i].gen;
+    s.source_gen = img.gen;
     s.own_gen = r.gen;
   }
+  return copied;
 }
 
 std::size_t Memory::diff_spans(const Memory& other,
@@ -218,7 +263,7 @@ bool Memory::differs_from(const Memory& other) const {
 void Memory::clear() {
   for (Region& r : regions_) {
     std::fill(r.data.begin(), r.data.end(), 0);
-    ++r.gen;
+    std::fill(r.block_gen.begin(), r.block_gen.end(), ++r.gen);
   }
 }
 

@@ -8,11 +8,12 @@
 // detection catches via hardware exceptions (Section III-A).
 //
 // Snapshot/restore is the fault-campaign hot path: every injection
-// round-trips machine state several times.  Two mechanisms keep that
-// cheap without changing observable contents:
+// round-trips machine state.  Two mechanisms keep that cheap without
+// changing observable contents:
 //   - every region carries a generation counter bumped on each mutation,
-//     so snapshot capture and restore can skip regions that provably have
-//     not changed since the last capture/sync (see Snapshot);
+//     and every 64-word block of it records the generation of its last
+//     mutation, so snapshot capture and restore copy only the blocks that
+//     provably changed since the last capture/sync (see Snapshot);
 //   - read/write cache the last-hit region index, since straight-line
 //     code touches the same region on almost every consecutive access.
 #pragma once
@@ -43,6 +44,9 @@ struct WordDiff {
 
 class Memory {
  public:
+  /// log2 of the block size (in words) that generations are tracked at.
+  static constexpr unsigned kBlockShift = 6;
+
   struct Region {
     Addr base = 0;
     Addr size = 0;  ///< in words
@@ -53,18 +57,30 @@ class Memory {
     /// Equal generations between two points in time prove the contents
     /// did not change in between (the converse need not hold).
     std::uint64_t gen = 0;
+    /// Per block of 2^kBlockShift words: the generation of the block's
+    /// last mutation.  Every mutation after a point at which the region
+    /// stood at generation G stamps a value above G, so a block stamped
+    /// at or below G is unchanged since that point.
+    std::vector<std::uint64_t> block_gen;
 
     bool contains(Addr a) const { return a >= base && a - base < size; }
+    /// Stores `v` at offset `off` and stamps its block with a fresh
+    /// generation.
+    void store(Addr off, Word v) {
+      data[off] = v;
+      block_gen[off >> kBlockShift] = ++gen;
+    }
   };
 
   /// A copy of all region contents, tagged with the source Memory's
-  /// identity and per-region generations so a later restore (or
-  /// re-capture via snapshot_into) can prove which regions are already
+  /// identity and per-region and per-block generations so a later restore
+  /// (or re-capture via snapshot_into) can prove which blocks are already
   /// up to date and skip them.  Equality compares contents only.
   struct Snapshot {
     struct RegionImage {
       std::vector<Word> data;
       std::uint64_t gen = 0;
+      std::vector<std::uint64_t> block_gen;  ///< the source's, at capture
     };
     std::uint64_t source_id = 0;  ///< Memory instance captured from (0: none)
     std::vector<RegionImage> regions;
@@ -120,16 +136,14 @@ class Memory {
     if (hint_ < regions_.size()) {
       Region& r = regions_[hint_];
       if (r.contains(a) && r.perm == Perm::ReadWrite) {
-        r.data[a - r.base] = v;
-        ++r.gen;
+        r.store(a - r.base, v);
         return {};
       }
     }
     if (hint2_ < regions_.size()) {
       Region& r = regions_[hint2_];
       if (r.contains(a) && r.perm == Perm::ReadWrite) {
-        r.data[a - r.base] = v;
-        ++r.gen;
+        r.store(a - r.base, v);
         return {};
       }
     }
@@ -149,8 +163,7 @@ class Memory {
   void poke(Addr a, Word v) {
     if (hint_ < regions_.size() && regions_[hint_].contains(a)) {
       Region& r = regions_[hint_];
-      r.data[a - r.base] = v;
-      ++r.gen;
+      r.store(a - r.base, v);
       return;
     }
     poke_slow(a, v);
@@ -158,8 +171,9 @@ class Memory {
 
   /// Direct mutable view of `len` words starting at `a`, for host-side
   /// bulk setup (one region lookup and one generation bump instead of one
-  /// per word).  Aborts if the range is not fully inside one mapped
-  /// region — programming error, not a simulated fault.
+  /// per word; every block the range overlaps is stamped).  Aborts if the
+  /// range is not fully inside one mapped region — programming error, not
+  /// a simulated fault.
   Word* poke_span(Addr a, Addr len);
 
   /// Raw view of one mapped region, for the execution engines' software
@@ -167,15 +181,19 @@ class Memory {
   /// registers so a hit is one compare and one load, skipping the region
   /// vector walk.  `gen` lets the engine bump the mutation generation
   /// itself — exactly once per write-install, before any raw store goes
-  /// through the view, which preserves the generation contract (equal
-  /// generations prove unchanged contents) because snapshot/restore never
-  /// run while an engine holds a view.  Views are invalidated by map();
+  /// through the view — and every raw store then stamps that install
+  /// generation into `block_gen[offset >> kBlockShift]`.  That preserves
+  /// the generation contract (a block stamped at or below the region
+  /// generation of a capture/sync is unchanged since it) because
+  /// snapshot/restore never run while an engine holds a view, so every
+  /// install generation postdates them.  Views are invalidated by map();
   /// engines hold them only within one run call.
   struct DirectSpan {
     Addr base = 0;
     Addr size = 0;  ///< 0: no mapped region at the probed address
     Word* data = nullptr;
     std::uint64_t* gen = nullptr;
+    std::uint64_t* block_gen = nullptr;
     bool writable = false;
   };
   DirectSpan direct_span(Addr a);
@@ -203,28 +221,36 @@ class Memory {
   /// re-running a faulted activation from a clean state.
   Snapshot snapshot() const;
 
-  /// Like snapshot(), but reuses `out`'s buffers and skips regions whose
-  /// generation shows `out` already holds their current contents.  The
-  /// campaign loop re-captures the same Snapshot object every injection;
-  /// only regions the last activation actually wrote get re-copied.
-  void snapshot_into(Snapshot& out) const;
+  /// Like snapshot(), but reuses `out`'s buffers and copies only the
+  /// blocks whose generation differs from the one `out` holds (a region
+  /// whose generation matches is skipped whole).  The campaign loop
+  /// re-captures the same Snapshot object every injection; only blocks
+  /// the activations since the last capture wrote get re-copied.  Returns
+  /// the number of words copied.
+  std::size_t snapshot_into(Snapshot& out) const;
 
-  /// Restores region contents from `snap`.  Incremental: a region is
-  /// copied back only if it was mutated since the last sync with `snap`'s
-  /// source, or if the source itself mutated it since that sync — regions
-  /// untouched on both sides are provably identical and skipped.
-  void restore(const Snapshot& snap);
+  /// Restores contents from `snap`.  Incremental: a block is copied back
+  /// only if it was mutated since the last sync with `snap`'s source, or
+  /// if the source's copy of it differs from the one synced then — blocks
+  /// untouched on both sides are provably identical and skipped (and a
+  /// region untouched on both sides is skipped whole).  Returns the number
+  /// of words copied.
+  std::size_t restore(const Snapshot& snap);
 
   /// Zero-fills every mapped region.
   void clear();
 
  private:
   /// Per-region record of the last restore: which source snapshot state
-  /// this region was synced to, and our own generation right after.
+  /// this region was synced to, and our own generation right after.  A
+  /// block is still in sync with a snapshot of the same source when the
+  /// snapshot's block generation equals `source_block_gen` and our own
+  /// block generation is at most `own_gen`.
   struct SyncState {
     std::uint64_t source_id = 0;   ///< 0: never synced
     std::uint64_t source_gen = 0;
     std::uint64_t own_gen = 0;
+    std::vector<std::uint64_t> source_block_gen;
   };
 
   const Region* find(Addr a) const;

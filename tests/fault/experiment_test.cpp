@@ -107,12 +107,37 @@ TEST(ExperimentTest, ActivatedDrawWithEmptyTraceIsWellFormed) {
   EXPECT_TRUE(saw_non_default_reg);
 }
 
-TEST(ExperimentTest, AdvanceKeepsMachinesInLockstep) {
+TEST(ExperimentTest, AdvanceLeavesFaultyMachineUntouched) {
+  // advance() moves the golden stream only; the faulty machine is
+  // realigned from the golden probe before every faulted run instead.
+  Rig rig;
+  const hv::Machine::Snapshot before = rig.faulty.snapshot();
+  for (int i = 0; i < 5; ++i) {
+    rig.exp.advance(rig.golden.make_activation(
+        hv::ExitReason::apic(hv::ApicInterrupt::timer), 100 + i));
+  }
+  const hv::Machine::Snapshot after = rig.faulty.snapshot();
+  EXPECT_EQ(after.memory, before.memory);
+  EXPECT_EQ(after.tsc, before.tsc);
+  EXPECT_TRUE(rig.golden.memory().differs_from(rig.faulty.memory()));
+}
+
+TEST(ExperimentTest, RunOneRealignsFaultyMachineAfterAdvances) {
+  // After golden-only advances the machines disagree; run_one of a flip
+  // that is never activated must still leave them in the same persistent
+  // state, because the faulted run starts from the golden pre-run state.
   Rig rig;
   for (int i = 0; i < 5; ++i) {
     rig.exp.advance(rig.golden.make_activation(
         hv::ExitReason::apic(hv::ApicInterrupt::timer), 100 + i));
   }
+  ASSERT_FALSE(hv::Machine::diff_persistent_state(rig.golden, rig.faulty)
+                   .empty());
+  const auto act = rig.golden.make_activation(
+      hv::ExitReason::apic(hv::ApicInterrupt::spurious), 9, 0);
+  // The spurious handler never touches rdx.
+  const auto r = rig.exp.run_one(act, hv::Injection{1, sim::Reg::rdx, 30});
+  EXPECT_FALSE(r.record.activated);
   EXPECT_TRUE(hv::Machine::diff_persistent_state(rig.golden, rig.faulty)
                   .empty());
 }

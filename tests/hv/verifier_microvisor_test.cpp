@@ -3,6 +3,8 @@
 // off its tail, or carries an unregistered assertion id.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "hv/microvisor.hpp"
 #include "sim/verifier.hpp"
 
@@ -15,12 +17,18 @@ sim::VerifierOptions strict() {
   return opt;
 }
 
+// gtest prints this struct byte by byte into the test names, so it must
+// have no padding: `reserved` fills the two tail bytes with zeros that
+// would otherwise be uninitialised and differ from build to build.
 struct ConfigCase {
   int domains;
   int vcpus;
   bool assertions;
   bool time_checks;
+  std::uint16_t reserved = 0;
 };
+static_assert(sizeof(ConfigCase) == 2 * sizeof(int) + 2 + sizeof(std::uint16_t),
+              "ConfigCase must have no padding");
 
 class MicrovisorVerify : public ::testing::TestWithParam<ConfigCase> {};
 

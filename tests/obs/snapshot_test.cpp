@@ -162,6 +162,8 @@ TEST(SnapshotTest, TimingMetricsAreRecognizedAndStripped) {
   EXPECT_TRUE(is_timing_metric("machine.snapshot_ns"));
   EXPECT_TRUE(is_timing_metric("campaign.elapsed_us"));
   EXPECT_TRUE(is_timing_metric("campaign.injections_per_sec"));
+  EXPECT_TRUE(is_timing_metric("machine.snapshot_words"));
+  EXPECT_TRUE(is_timing_metric("machine.restore_words"));
   EXPECT_FALSE(is_timing_metric("campaign.injections"));
   EXPECT_FALSE(is_timing_metric("obs.sink.appends"));
 

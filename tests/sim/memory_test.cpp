@@ -2,6 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <random>
+#include <vector>
+
+#include "analysis/cfg.hpp"
+#include "analysis/superblocks.hpp"
+#include "sim/assembler.hpp"
+#include "sim/cpu.hpp"
+#include "sim/jit/compiled_program.hpp"
+
 namespace xentry::sim {
 namespace {
 
@@ -217,6 +227,170 @@ TEST(MemoryTest, BitFlippedPointerLandsOutsideRegions) {
     if (!mem.is_mapped(ptr ^ (Addr{1} << bit))) ++out_of_range;
   }
   EXPECT_GE(out_of_range, 50);
+}
+
+// -- per-block generations ---------------------------------------------------
+
+/// Region layout of the block-generation tests: sizes that end in a short
+/// block (100, 200), one smaller than a block (5), an exact multiple (128),
+/// and a read-only region.
+void map_block_layout(Memory& m) {
+  m.map(0x0, 100, Perm::ReadWrite, "odd");
+  m.map(0x1000, 200, Perm::ReadWrite, "tail");
+  m.map(0x2000, 5, Perm::ReadWrite, "tiny");
+  m.map(0x3000, 128, Perm::ReadWrite, "exact");
+  m.map(0x4000, 70, Perm::Read, "ro");
+}
+
+using Image = std::vector<std::vector<Word>>;
+
+Image contents(const Memory& m) {
+  Image out;
+  for (const Memory::Region& r : m.regions()) out.push_back(r.data);
+  return out;
+}
+
+Image contents(const Memory::Snapshot& s) {
+  Image out;
+  for (const Memory::Snapshot::RegionImage& r : s.regions) {
+    out.push_back(r.data);
+  }
+  return out;
+}
+
+Addr random_addr(const Memory& m, std::mt19937_64& rng) {
+  const Memory::Region& r = m.regions()[rng() % m.regions().size()];
+  return r.base + rng() % r.size;
+}
+
+TEST(MemoryBlockGenTest, OneWriteCopiesOneBlock) {
+  Memory golden, faulty;
+  map_block_layout(golden);
+  map_block_layout(faulty);
+  Memory::Snapshot snap;
+  EXPECT_EQ(golden.snapshot_into(snap), 503u);  // first capture: everything
+  EXPECT_EQ(faulty.restore(snap), 503u);        // first sync: everything
+  EXPECT_EQ(golden.snapshot_into(snap), 0u);
+  EXPECT_EQ(faulty.restore(snap), 0u);
+
+  ASSERT_FALSE(golden.write(0x1000 + 70, 1));   // tail block 1: 64 words
+  ASSERT_FALSE(faulty.write(0x0 + 99, 2));      // odd block 1: 36 words
+  EXPECT_EQ(golden.snapshot_into(snap), 64u);
+  EXPECT_EQ(faulty.restore(snap), 64u + 36u);
+  EXPECT_EQ(contents(faulty), contents(golden));
+}
+
+TEST(MemoryBlockGenTest, RandomMutationsMatchFullCopyReference) {
+  // Random mutations of two memories interleaved with captures into three
+  // shared snapshots and restores in both directions (and onto the
+  // capturing memory itself).  Every snapshot must hold, and every
+  // restore must reproduce, exactly what a full copy at capture time
+  // would; a repeated capture or restore with nothing changed copies
+  // nothing.
+  std::mt19937_64 rng(0xb10c6e4);
+  Memory mems[2];
+  for (Memory& m : mems) map_block_layout(m);
+  Memory::Snapshot snaps[3];
+  Image ref[3];
+  bool captured[3] = {};
+  int restores = 0;
+  for (int step = 0; step < 20000; ++step) {
+    Memory& m = mems[rng() % 2];
+    const std::size_t k = rng() % 3;
+    const std::uint64_t op = rng() % 100;
+    if (op < 40) {
+      const Addr a = random_addr(m, rng);
+      (void)m.write(a, rng());  // #GP on the read-only region
+    } else if (op < 55) {
+      const Addr a = random_addr(m, rng);
+      m.poke(a, rng());
+    } else if (op < 65) {
+      const Memory::Region& r = m.regions()[rng() % m.regions().size()];
+      const Addr off = rng() % r.size;
+      const Addr len = 1 + rng() % (r.size - off);
+      Word* span = m.poke_span(r.base + off, len);
+      for (Addr i = 0; i < len; ++i) span[i] = rng();
+    } else if (op < 67) {
+      m.clear();
+    } else if (op < 82) {
+      m.snapshot_into(snaps[k]);
+      ref[k] = contents(m);
+      captured[k] = true;
+      ASSERT_EQ(contents(snaps[k]), ref[k]) << "step " << step;
+      EXPECT_EQ(m.snapshot_into(snaps[k]), 0u) << "step " << step;
+    } else if (captured[k]) {
+      m.restore(snaps[k]);
+      ++restores;
+      ASSERT_EQ(contents(m), ref[k]) << "step " << step;
+      EXPECT_EQ(m.restore(snaps[k]), 0u) << "step " << step;
+    }
+  }
+  EXPECT_GT(restores, 3000);
+}
+
+TEST(MemoryBlockGenTest, JitStoresStampTheirBlocks) {
+  // A strided store loop over two regions on the threaded-code engine:
+  // its raw stores go through the software TLB, not Memory::write, so
+  // only the engine's per-store stamp tells snapshot/restore which
+  // blocks changed.
+  Assembler as(0x400000);
+  const Assembler::Label loop = as.here();
+  as.store(Reg::rbx, Reg::rax);
+  as.store(Reg::rsi, Reg::rax);
+  as.add(Reg::rbx, Reg::rcx);
+  as.add(Reg::rsi, Reg::rcx);
+  as.inc(Reg::rax);
+  as.dec(Reg::rdx);
+  as.jne(loop);
+  as.hlt();
+  const Program prog = as.finish();
+  const std::shared_ptr<const jit::CompiledProgram> compiled = jit::compile(
+      prog, analysis::form_superblocks(analysis::build_cfg(prog), prog));
+
+  std::mt19937_64 rng(0x5eed);
+  Memory mems[2];
+  for (Memory& m : mems) map_block_layout(m);
+  Memory::Snapshot snaps[2];
+  Image ref[2];
+  bool captured[2] = {};
+  int runs = 0, restores = 0;
+  for (int step = 0; step < 4000; ++step) {
+    Memory& m = mems[rng() % 2];
+    const std::size_t k = rng() % 2;
+    const std::uint64_t op = rng() % 4;
+    if (op == 0) {
+      // Stores at odd[s0 + i*stride] and tail[s1 + i*stride], i < count.
+      const Addr stride = 1 + rng() % 9;
+      const Addr s0 = rng() % 100, s1 = rng() % 200;
+      const Addr count =
+          1 + rng() % (std::min((99 - s0) / stride, (199 - s1) / stride) + 1);
+      Cpu cpu(&prog, &m);
+      cpu.reset(prog.base(), 0x3000 + 64);
+      cpu.set_compiled(compiled);
+      cpu.set_engine(EngineKind::Jit);
+      cpu.set_reg(Reg::rax, rng());
+      cpu.set_reg(Reg::rbx, 0x0 + s0);
+      cpu.set_reg(Reg::rsi, 0x1000 + s1);
+      cpu.set_reg(Reg::rcx, stride);
+      cpu.set_reg(Reg::rdx, count);
+      ASSERT_EQ(cpu.run(100000).status, StepInfo::Status::Halted);
+      ++runs;
+    } else if (op == 1) {
+      const Addr a = random_addr(m, rng);
+      m.poke(a, rng());
+    } else if (op == 2) {
+      m.snapshot_into(snaps[k]);
+      ref[k] = contents(m);
+      captured[k] = true;
+      ASSERT_EQ(contents(snaps[k]), ref[k]) << "step " << step;
+    } else if (captured[k]) {
+      m.restore(snaps[k]);
+      ++restores;
+      ASSERT_EQ(contents(m), ref[k]) << "step " << step;
+    }
+  }
+  EXPECT_GT(runs, 500);
+  EXPECT_GT(restores, 500);
 }
 
 }  // namespace
