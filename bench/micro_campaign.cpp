@@ -13,7 +13,7 @@
 // trajectory.  A fourth argument enables the campaign progress heartbeat
 // on stderr (stdout stays pure JSON).
 // Usage:  micro_campaign [injections] [shards] [seed] [heartbeat_sec]
-//                        [--engine fast|reference|jit] [--sampling]
+//                        [--engine reference|jit] [--sampling]
 //                        [--metrics-out FILE] [--forensics-out FILE]
 //                        [--records-out PATH] [--records-format jsonl|bin]
 //                        [--checkpoint PATH] [--help]
@@ -125,7 +125,7 @@ CampaignScore time_campaign(int injections, int shards, std::uint64_t seed,
   cfg.xentry.transition_detection = cfg.collect_dataset;
   cfg.xentry.engine = engine;
   cfg.sampling.importance = sampling;
-  if (engine == sim::EngineKind::Jit || sampling) {
+  if (sampling) {
     cfg.analysis = std::make_shared<analysis::AnalysisArtifacts>(
         analysis::analyze_program(hv::build_microvisor(cfg.machine).program));
   }
@@ -239,13 +239,12 @@ void print_help() {
       "off)\n"
       "\n"
       "Options:\n"
-      "  --engine fast|reference|jit\n"
+      "  --engine reference|jit\n"
       "                   execution engine for the campaign machines "
       "(default\n"
-      "                   fast; jit runs analyze_program first and compiles "
-      "the\n"
-      "                   threaded stream).  records_digest must be\n"
-      "                   bit-identical across all three — CI asserts it.\n"
+      "                   jit, the threaded-code engine).  records_digest "
+      "must be\n"
+      "                   bit-identical across both — CI asserts it.\n"
       "  --sampling       masking-aware importance sampling: runs\n"
       "                   analyze_program for the vulnerability map and "
       "skips\n"
@@ -283,7 +282,7 @@ void print_help() {
 
 int main(int argc, char** argv) {
   std::string metrics_out, forensics_out;
-  sim::EngineKind engine = sim::EngineKind::Fast;
+  sim::EngineKind engine = sim::EngineKind::Jit;
   bool sampling = false;
   StreamingFlags streaming;
   std::vector<const char*> positional;
@@ -316,16 +315,14 @@ int main(int argc, char** argv) {
       streaming.records_format = *fmt;
     } else if (arg == "--engine" && i + 1 < argc) {
       const std::string name = argv[++i];
-      if (name == "fast") {
-        engine = sim::EngineKind::Fast;
-      } else if (name == "reference") {
+      if (name == "reference") {
         engine = sim::EngineKind::Reference;
       } else if (name == "jit") {
         engine = sim::EngineKind::Jit;
       } else {
         std::fprintf(stderr,
                      "micro_campaign: unknown --engine '%s' (want "
-                     "fast|reference|jit)\n",
+                     "reference|jit)\n",
                      name.c_str());
         return 2;
       }

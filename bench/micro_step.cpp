@@ -1,19 +1,17 @@
-// micro_step: raw interpreter step rate, per execution mode.
+// micro_step: raw engine step rate, per execution mode.
 //
 // Times a representative handler-mix program (loads, stores, ALU, push/pop,
 // a call/ret leaf, and a fusable cmp+jne back edge) directly against the
 // Cpu, with no Machine or campaign machinery in the loop, for every
 // per-step feature mode:
-//   plain    run_loop<false,false,false>   (the golden-run configuration)
-//   +trace   run_loop<true, false,false>   (golden probe runs)
-//   +mask    run_loop<false,true, false>   (exit-mask materialization)
-//   +shadow  run_loop<false,false,true>    (shadow-stack redundancy)
-// and, for each mode, all three engines: the threaded-code superblock
-// engine (jit), the specialized interpreter loop (fast), and the
-// single-step reference engine (reference).  The jit/fast ratio is the
-// payoff of leaving switch dispatch behind; fast/reference is the payoff
-// of mode specialization; the per-mode spread is the marginal cost of
-// each feature.
+//   plain    no trace, no masks, no shadow (the golden-run configuration)
+//   +trace   retired-rip trace recording   (golden probe runs)
+//   +mask    exit-mask materialization
+//   +shadow  shadow-stack redundancy
+// and, for each mode, both engines: the threaded-code superblock engine
+// (jit) and the single-step reference engine (reference).  The
+// jit/reference ratio is the payoff of threaded dispatch and superblock
+// accounting; the per-mode spread is the marginal cost of each feature.
 //
 // Usage: micro_step [budget_sec_per_cell]
 // Output: JSON on stdout.
@@ -149,8 +147,6 @@ int main(int argc, char** argv) {
   for (const auto& m : modes) {
     cells.push_back(time_cell(prog, "jit", m.mode, sim::EngineKind::Jit,
                               compiled, m.trace, m.masks, m.shadow, budget));
-    cells.push_back(time_cell(prog, "fast", m.mode, sim::EngineKind::Fast,
-                              nullptr, m.trace, m.masks, m.shadow, budget));
     cells.push_back(time_cell(prog, "reference", m.mode,
                               sim::EngineKind::Reference, nullptr, m.trace,
                               m.masks, m.shadow, budget));

@@ -1,11 +1,11 @@
 // Basic-block control-flow graph over an assembled Program.
 //
-// Leaders come from the same landing-site set the macro-op fuser uses
+// Leaders come from the program's landing-site set
 // (sim::compute_landing_sites), plus the slot after every branch and the
-// first slot of every contiguous non-padding run, so the fuser, the
-// verifier, and the runtime control-flow-integrity detector can never
-// disagree about where control may arrive.  Every non-Ud instruction
-// belongs to exactly one block; Ud padding belongs to none.
+// first slot of every contiguous non-padding run, so the threaded-code
+// compiler, the verifier, and the runtime control-flow-integrity detector
+// can never disagree about where control may arrive.  Every non-Ud
+// instruction belongs to exactly one block; Ud padding belongs to none.
 //
 // Edges model one dynamic step of retired control flow, which is exactly
 // what the trace-replay CFI check walks:
@@ -88,8 +88,8 @@ struct ControlFlowGraph {
 ControlFlowGraph build_cfg(const sim::Program& program,
                            const CfgOptions& options = {});
 
-/// FNV-1a over the architectural encoding (op, r1, r2, imm, aux — not the
-/// fusion hint) of every instruction slot.  Pairs artifacts with the
+/// FNV-1a over the architectural encoding (op, r1, r2, imm, aux) of every
+/// instruction slot.  Pairs artifacts with the
 /// exact program they were computed from.
 std::uint64_t program_signature(const sim::Program& program);
 

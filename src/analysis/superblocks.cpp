@@ -50,6 +50,14 @@ std::vector<sim::jit::Superblock> form_superblocks(
 }
 
 std::shared_ptr<const sim::jit::CompiledProgram> compile_threaded(
+    const sim::Program& program) {
+  auto& cache = sim::jit::CodeCache::instance();
+  if (auto hit = cache.find(sim::program_text_signature(program))) return hit;
+  return cache.insert(sim::jit::compile(
+      program, form_superblocks(build_cfg(program), program)));
+}
+
+std::shared_ptr<const sim::jit::CompiledProgram> compile_threaded(
     const AnalysisArtifacts& artifacts) {
   auto& cache = sim::jit::CodeCache::instance();
   if (auto hit = cache.find(artifacts.signature)) return hit;

@@ -27,9 +27,15 @@ namespace xentry::analysis {
 std::vector<sim::jit::Superblock> form_superblocks(
     const ControlFlowGraph& cfg, const sim::Program& program);
 
-/// Compiles `artifacts.program` to threaded code through the process-wide
-/// CodeCache, keyed by the artifacts' program signature: campaigns with
-/// many shards compile once and share the immutable stream.
+/// Compiles `program` to threaded code through the process-wide
+/// CodeCache, keyed by sim::program_text_signature: every machine and
+/// campaign shard running the same program shares one immutable stream,
+/// and the CFG is built only on a cache miss.
+std::shared_ptr<const sim::jit::CompiledProgram> compile_threaded(
+    const sim::Program& program);
+
+/// As above, reusing the artifacts' CFG on a miss (the artifacts'
+/// signature is the same cache key).
 std::shared_ptr<const sim::jit::CompiledProgram> compile_threaded(
     const AnalysisArtifacts& artifacts);
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "analysis/superblocks.hpp"
 #include "sim/splitmix.hpp"
 
 namespace xentry::hv {
@@ -17,6 +18,7 @@ using sim::Word;
 
 Machine::Machine(const MicrovisorOptions& options)
     : mv_(build_microvisor(options)), cpu_(&mv_.program, &mem_) {
+  cpu_.set_compiled(analysis::compile_threaded(mv_.program));
   map_regions();
   init_boot_state();
   for (const ExitReason& r : all_exit_reasons()) {
@@ -453,6 +455,79 @@ void Machine::begin_activation(const Activation& act) {
   }
 }
 
+namespace {
+
+/// Maps the StepInfo that ended a run onto `result`, `step` instructions
+/// into the activation.  A watchdog leaves `steps` at 0; detection steps
+/// derive from it, so the campaign known answers pin this.
+void settle(RunResult& result, const sim::StepInfo& info, std::uint64_t step) {
+  if (info.status == sim::StepInfo::Status::Halted) {
+    result.reached_vm_entry = true;
+    result.steps = step;
+    return;
+  }
+  result.trap = info.trap;
+  result.trap_step = step;
+  if (info.trap.kind != sim::TrapKind::Watchdog) result.steps = step;
+}
+
+}  // namespace
+
+void Machine::run_injected(const Injection& inj, std::uint64_t max_steps,
+                           RunResult& result) {
+  // Three engine runs: the fault-free prefix before the flip, the watch
+  // window up to the first instruction that statically reads or writes
+  // the flipped register (the register watch stops before it), and the
+  // rest.  Every observable is bit-identical to single-stepping the whole
+  // activation — the engine differential tests and the campaign digest
+  // pins enforce it.
+  const std::uint64_t prefix = std::min<std::uint64_t>(inj.at_step, max_steps);
+  if (prefix > 0) {
+    const sim::StepInfo info = cpu_.run(prefix);
+    // run() raises Watchdog at budget exhaustion; it is the architectural
+    // watchdog only when the budget was the full allowance.  Otherwise the
+    // prefix simply completed.
+    if (info.status == sim::StepInfo::Status::Halted ||
+        info.trap.kind != sim::TrapKind::Watchdog || prefix == max_steps) {
+      settle(result, info, cpu_.steps_executed());
+      return;
+    }
+  } else if (max_steps == 0) {
+    // Degenerate budget: watchdog before the flip.
+    result.trap = sim::Trap{sim::TrapKind::Watchdog, cpu_.reg(Reg::rip), 0};
+    return;
+  }
+
+  // The flip, immediately before executing step `at_step`.
+  std::uint64_t step = cpu_.steps_executed();
+  cpu_.flip_bit(inj.reg, inj.bit);
+  result.injected = true;
+  if (inj.reg == Reg::rip) {
+    // The very next fetch consumes the corrupted rip.
+    result.activated = true;
+    result.activation_step = step;
+  } else {
+    const std::uint32_t target_bit = sim::reg_bit(inj.reg);
+    cpu_.set_watch(target_bit);
+    const sim::StepInfo hop = cpu_.run(max_steps - step);
+    cpu_.set_watch(0);
+    step = cpu_.steps_executed();
+    if (hop.status != sim::StepInfo::Status::Ok) {
+      settle(result, hop, step);
+      return;
+    }
+    // Watch stop: the pending instruction reads the flipped register
+    // (activation) or only overwrites it (the flip is dead).  Either way
+    // the watch is resolved and the instruction runs with the rest.
+    if ((hop.read_mask & target_bit) != 0) {
+      result.activated = true;
+      result.activation_step = step;
+    }
+  }
+  const sim::StepInfo info = cpu_.run(max_steps - step);
+  settle(result, info, cpu_.steps_executed());
+}
+
 RunResult Machine::run(const Activation& act, const RunOptions& opts) {
   // Per-VM-exit span: named by the handler symbol (static storage), one
   // lane per campaign shard.  A null recorder makes the span a no-op.
@@ -466,224 +541,18 @@ RunResult Machine::run(const Activation& act, const RunOptions& opts) {
 
   cpu_.set_trace(opts.trace);
   if (opts.arm_counters) cpu_.counters().arm();
-
   RunResult result;
   const Injection* inj = opts.injection;
-  // Register read/write masks are only consumed while watching an
-  // injection for activation; skip computing them on clean runs.
-  cpu_.set_mask_tracking(inj != nullptr);
-  // Tracing alone no longer forces single-stepping: the specialized run
-  // loops record the trace themselves, so golden/probe runs stay on the
-  // fast engine.  Only injection watching and assertion counting need a
-  // per-instruction view.
-  const bool stepwise = inj != nullptr || opts.count_assertions;
-
-  if (!stepwise) {
+  // StepInfo masks only matter to single-step callers; run() fills the
+  // masks of a watch stop regardless.
+  cpu_.set_mask_tracking(false);
+  if (inj == nullptr) {
     const sim::StepInfo info = cpu_.run(opts.max_steps);
+    settle(result, info, cpu_.steps_executed());
+    // A clean run reports its retired count even when the watchdog ends it.
     result.steps = cpu_.steps_executed();
-    if (info.status == sim::StepInfo::Status::Halted) {
-      result.reached_vm_entry = true;
-    } else {
-      result.trap = info.trap;
-      result.trap_step = result.steps;
-    }
-  } else if (inj != nullptr && !opts.count_assertions) {
-    // Injection path, batched.  The fault-free prefix before the flip and
-    // the suffix after activation resolves run on the configured engine;
-    // only the window where the flip must be watched for activation is
-    // stepped, and even there the CPU's register watch batches between
-    // instructions that statically touch the target register.  Every
-    // observable (result fields, trace, counters, record digests) is
-    // bit-identical to the single-step loop below — the engine
-    // differential tests and the campaign digest tests enforce it.
-    const std::uint32_t target_bit = sim::reg_bit(inj->reg);
-    std::uint64_t step = 0;  // instructions retired so far
-    bool done = false;
-
-    // Phase 1: fault-free prefix [0, min(at_step, max_steps)).
-    const std::uint64_t prefix =
-        std::min<std::uint64_t>(inj->at_step, opts.max_steps);
-    cpu_.set_mask_tracking(false);
-    if (prefix > 0) {
-      const sim::StepInfo info = cpu_.run(prefix);
-      step = cpu_.steps_executed();
-      if (info.status == sim::StepInfo::Status::Halted) {
-        result.reached_vm_entry = true;
-        result.steps = step;
-        done = true;
-      } else if (info.trap.kind == sim::TrapKind::Watchdog) {
-        // run() raises Watchdog at budget exhaustion; it is the
-        // architectural watchdog only when the budget was the full
-        // allowance.  Otherwise the prefix simply completed: fall
-        // through to the flip.
-        if (prefix == opts.max_steps) {
-          result.trap = info.trap;
-          result.trap_step = step;
-          done = true;  // result.steps stays 0: the watchdog never sets it
-        }
-      } else {
-        result.trap = info.trap;
-        result.trap_step = step;
-        result.steps = step;
-        done = true;
-      }
-    }
-    if (!done && step >= opts.max_steps) {
-      // Degenerate budget (max_steps == 0): watchdog before the flip.
-      result.trap = sim::Trap{sim::TrapKind::Watchdog, cpu_.reg(Reg::rip), 0};
-      result.trap_step = step;
-      done = true;
-    }
-
-    if (!done) {
-      // Phase 2: the flip, immediately before executing step `at_step`.
-      cpu_.flip_bit(inj->reg, inj->bit);
-      result.injected = true;
-      bool watching = false;
-      if (inj->reg == Reg::rip) {
-        // The very next fetch consumes the corrupted rip.
-        result.activated = true;
-        result.activation_step = step;
-      } else {
-        watching = true;
-      }
-
-      // Phase 3: watch window.  Batch to the next instruction that
-      // statically reads or writes the target register, then single-step
-      // it with activation bookkeeping.
-      cpu_.set_mask_tracking(true);
-      cpu_.set_watch(target_bit);
-      while (watching) {
-        if (step >= opts.max_steps) {
-          result.trap =
-              sim::Trap{sim::TrapKind::Watchdog, cpu_.reg(Reg::rip), 0};
-          result.trap_step = step;
-          done = true;
-          break;
-        }
-        const sim::StepInfo hop = cpu_.run(opts.max_steps - step);
-        step = cpu_.steps_executed();
-        if (hop.status == sim::StepInfo::Status::Ok) {
-          // Watch boundary: the pending instruction touches the target.
-          const sim::StepInfo info = cpu_.step();
-          if (info.read_mask & target_bit) {
-            result.activated = true;
-            result.activation_step = step;
-            watching = false;
-          } else if (info.written_mask & target_bit) {
-            watching = false;  // overwritten before any read
-          }
-          if (info.status == sim::StepInfo::Status::Halted) {
-            result.reached_vm_entry = true;
-            result.steps = step;
-            done = true;
-            break;
-          }
-          if (info.status == sim::StepInfo::Status::Trapped) {
-            result.trap = info.trap;
-            result.trap_step = step;
-            result.steps = step;
-            done = true;
-            break;
-          }
-          ++step;
-          continue;
-        }
-        if (hop.status == sim::StepInfo::Status::Halted) {
-          result.reached_vm_entry = true;
-          result.steps = step;
-          done = true;
-          break;
-        }
-        if (hop.trap.kind == sim::TrapKind::Watchdog) {
-          result.trap = hop.trap;  // budget == remaining allowance: genuine
-          result.trap_step = step;
-          done = true;
-          break;
-        }
-        result.trap = hop.trap;
-        result.trap_step = step;
-        result.steps = step;
-        done = true;
-        break;
-      }
-      cpu_.set_watch(0);
-      cpu_.set_mask_tracking(false);
-
-      // Phase 4: activation resolved — batch the remainder.
-      if (!done) {
-        if (step >= opts.max_steps) {
-          result.trap =
-              sim::Trap{sim::TrapKind::Watchdog, cpu_.reg(Reg::rip), 0};
-          result.trap_step = step;
-        } else {
-          const sim::StepInfo info = cpu_.run(opts.max_steps - step);
-          step = cpu_.steps_executed();
-          if (info.status == sim::StepInfo::Status::Halted) {
-            result.reached_vm_entry = true;
-            result.steps = step;
-          } else if (info.trap.kind == sim::TrapKind::Watchdog) {
-            result.trap = info.trap;
-            result.trap_step = step;
-          } else {
-            result.trap = info.trap;
-            result.trap_step = step;
-            result.steps = step;
-          }
-        }
-      }
-    }
   } else {
-    const std::uint32_t target_bit =
-        inj != nullptr ? sim::reg_bit(inj->reg) : 0;
-    bool watching = false;
-    for (std::uint64_t step = 0;; ++step) {
-      if (step >= opts.max_steps) {
-        result.trap = sim::Trap{sim::TrapKind::Watchdog,
-                                cpu_.reg(Reg::rip), 0};
-        result.trap_step = step;
-        break;
-      }
-      if (inj != nullptr && !result.injected && step == inj->at_step) {
-        cpu_.flip_bit(inj->reg, inj->bit);
-        result.injected = true;
-        if (inj->reg == Reg::rip) {
-          // The very next fetch consumes the corrupted rip.
-          result.activated = true;
-          result.activation_step = step;
-        } else {
-          watching = true;
-        }
-      }
-      if (opts.count_assertions) {
-        const Addr rip = cpu_.reg(Reg::rip);
-        if (mv_.program.contains(rip) &&
-            sim::is_assertion(mv_.program.at(rip).op)) {
-          ++result.assertions_executed;
-        }
-      }
-      const sim::StepInfo info = cpu_.step();
-      if (watching && !result.activated) {
-        if (info.read_mask & target_bit) {
-          result.activated = true;
-          result.activation_step = step;
-          watching = false;
-        } else if (info.written_mask & target_bit) {
-          watching = false;  // overwritten before any read: never activates
-        }
-      }
-      if (info.status == sim::StepInfo::Status::Halted) {
-        result.reached_vm_entry = true;
-        result.steps = step;
-        break;
-      }
-      if (info.status == sim::StepInfo::Status::Trapped) {
-        result.trap = info.trap;
-        result.trap_step = step;
-        result.steps = step;
-        break;
-      }
-    }
+    run_injected(*inj, opts.max_steps, result);
   }
 
   result.counters = opts.arm_counters ? cpu_.counters().disarm()
@@ -708,6 +577,15 @@ RunResult Machine::run(const Activation& act, const RunOptions& opts) {
     telemetry_->flight->append(frame);
   }
   return result;
+}
+
+std::uint64_t Machine::assertions_executed(const std::vector<sim::Addr>& trace,
+                                           const RunResult& result) const {
+  std::uint64_t n = result.trap.kind == sim::TrapKind::AssertFailed ? 1 : 0;
+  for (const Addr rip : trace) {
+    n += sim::is_assertion(mv_.program.at(rip).op) ? 1 : 0;
+  }
+  return n;
 }
 
 Machine::Snapshot Machine::snapshot() const {

@@ -49,7 +49,6 @@ struct RunOptions {
   const Injection* injection = nullptr;
   std::vector<sim::Addr>* trace = nullptr;  ///< control-flow trace sink
   bool arm_counters = true;
-  bool count_assertions = false;  ///< tally executed assertion instructions
 };
 
 struct RunResult {
@@ -65,8 +64,6 @@ struct RunResult {
   bool activated = false;  ///< the corrupted register was read afterwards
   std::uint64_t activation_step = 0;
   std::uint64_t trap_step = 0;  ///< dynamic index at which the trap fired
-
-  std::uint64_t assertions_executed = 0;  ///< when count_assertions is set
 };
 
 /// One word of persistent state that differs between two runs, with its
@@ -81,6 +78,10 @@ struct StateDiff {
 
 class Machine {
  public:
+  /// Builds the microvisor and attaches the threaded-code engine to its
+  /// program: the compilation comes from the process-wide
+  /// sim::jit::CodeCache (keyed by the program text signature), so only
+  /// the first machine per distinct program builds the CFG and compiles.
   explicit Machine(const MicrovisorOptions& options = {});
 
   /// Re-initializes all memory to boot state (domains, VCPUs, shared
@@ -89,6 +90,13 @@ class Machine {
 
   /// Runs one hypervisor activation to VM entry (or to a trap).
   RunResult run(const Activation& activation, const RunOptions& opts = {});
+
+  /// Assertion instructions a run executed, from its retired-rip `trace`
+  /// (RunOptions::trace, cleared before the run): the assertions that
+  /// retired, plus the one that failed when the run ended on a failed
+  /// assertion (a failing assertion traps and does not retire).
+  std::uint64_t assertions_executed(const std::vector<sim::Addr>& trace,
+                                    const RunResult& result) const;
 
   /// Prepares the machine for `activation` WITHOUT executing anything:
   /// performs the VM-exit side effects (current-VCPU and runqueue
@@ -139,18 +147,17 @@ class Machine {
   /// detector checks each run's first retired instruction against this.
   sim::Addr handler_entry(const ExitReason& reason) const;
 
-  /// Selects the CPU execution engine for this machine's run() path and,
-  /// for EngineKind::Jit, attaches the threaded-code compilation (which
-  /// must match this machine's program — Cpu::set_compiled throws on a
-  /// stale stream).  Injection runs still single-step the reference
-  /// engine regardless; the engine accelerates the non-stepwise paths
-  /// (golden probes, advance runs, clean campaign runs).  Snapshot and
-  /// restore are engine-agnostic: the compiled stream is pure code,
-  /// derived only from the immutable program text.
+  /// Selects the CPU execution engine for every run() of this machine —
+  /// clean, golden-probe and injected runs alike (the injection path's
+  /// register watch is honoured by both engines).  A non-null `compiled`
+  /// replaces the stream the constructor attached; it must match this
+  /// machine's program (Cpu::set_compiled throws on a stale stream).
+  /// Snapshot and restore are engine-agnostic: the compiled stream is
+  /// pure code, derived only from the immutable program text.
   void set_execution_engine(
       sim::EngineKind kind,
       std::shared_ptr<const sim::jit::CompiledProgram> compiled = nullptr) {
-    cpu_.set_compiled(std::move(compiled));
+    if (compiled != nullptr) cpu_.set_compiled(std::move(compiled));
     cpu_.set_engine(kind);
   }
 
@@ -170,6 +177,9 @@ class Machine {
   void map_regions();
   void init_boot_state();
   void prepare_inputs(const Activation& activation);
+  /// run()'s injection path after begin_activation.
+  void run_injected(const Injection& inj, std::uint64_t max_steps,
+                    RunResult& result);
 
   Microvisor mv_;
   sim::Memory mem_;

@@ -378,462 +378,28 @@ StepInfo Cpu::step() {
   return info;
 }
 
+bool Cpu::watch_hit(StepInfo& info) const {
+  const Addr rip = reg(Reg::rip);
+  const Instruction* insn = prog_->fetch(rip);
+  if (insn == nullptr) return false;
+  const std::uint32_t read = regs_read(*insn);
+  const std::uint32_t written = regs_written(*insn);
+  if (((read | written) & watch_mask_) == 0) return false;
+  info = StepInfo{};
+  info.rip_before = rip;
+  info.read_mask = read;
+  info.written_mask = written;
+  return true;
+}
+
 StepInfo Cpu::run_reference(std::uint64_t max_steps) {
+  StepInfo info;
   for (std::uint64_t i = 0; i < max_steps; ++i) {
-    StepInfo info = step();
+    if (watch_mask_ != 0 && watch_hit(info)) return info;
+    info = step();
     if (info.status != StepInfo::Status::Ok) return info;
   }
-  StepInfo info;
-  info.status = StepInfo::Status::Trapped;
-  info.trap = Trap{TrapKind::Watchdog, reg(Reg::rip), 0};
-  info.rip_before = reg(Reg::rip);
-  return info;
-}
-
-namespace {
-
-/// Taken-condition of a fused conditional branch, evaluated directly on
-/// the flags word the fused head just produced.
-inline bool cond_taken(Opcode jcc, Word f) {
-  switch (jcc) {
-    case Opcode::Je: return (f & kFlagZero) != 0;
-    case Opcode::Jne: return (f & kFlagZero) == 0;
-    case Opcode::Jl: return (f & kFlagSign) != 0;
-    case Opcode::Jle: return (f & (kFlagSign | kFlagZero)) != 0;
-    case Opcode::Jg: return (f & (kFlagSign | kFlagZero)) == 0;
-    case Opcode::Jge: return (f & kFlagSign) == 0;
-    case Opcode::Jb: return (f & kFlagCarry) != 0;
-    default: return (f & kFlagCarry) == 0;  // Jae
-  }
-}
-
-}  // namespace
-
-template <bool Trace, bool Masks, bool Shadow>
-StepInfo Cpu::run_loop(std::uint64_t max_steps) {
-  const Program& prog = *prog_;
-  Memory& mem = *mem_;
-  std::vector<Addr>* const trace = trace_;
-
-  // Retire bookkeeping accumulates in locals and is flushed exactly once
-  // at loop exit; rip and rflags stay in the register array because
-  // instructions may name them as ordinary operands.
-  Word tsc = tsc_;
-  std::uint64_t executed = 0;
-  std::uint64_t branches = 0, loads = 0, stores = 0;
-  const auto flush = [&] {
-    tsc_ = tsc;
-    steps_ += executed;
-    counters_.retire_block(executed, branches, loads, stores);
-  };
-
-  StepInfo info;
-  while (executed < max_steps) {
-    const Addr rip = reg(Reg::rip);
-    const Instruction* fetched = prog.fetch(rip);
-    if (fetched == nullptr) {
-      flush();
-      info.status = StepInfo::Status::Trapped;
-      info.trap = Trap{TrapKind::PageFault, rip, 0};
-      info.rip_before = rip;
-      return info;
-    }
-    const Instruction& insn = *fetched;
-    if (insn.op == Opcode::Ud) {
-      flush();
-      info.status = StepInfo::Status::Trapped;
-      info.trap = Trap{TrapKind::InvalidOpcode, rip, 0};
-      info.rip_before = rip;
-      return info;
-    }
-
-    if constexpr (Masks) {
-      // Register watch: hand control back before any instruction whose
-      // static read/write set touches the watched registers.  The caller
-      // (the injection path) single-steps that instruction with full
-      // activation bookkeeping, then resumes batching.
-      if (watch_mask_ != 0 &&
-          ((regs_read(insn) | regs_written(insn)) & watch_mask_) != 0) {
-        flush();
-        info.status = StepInfo::Status::Ok;
-        info.rip_before = rip;
-        info.read_mask = regs_read(insn);
-        info.written_mask = regs_written(insn);
-        return info;
-      }
-    }
-
-    // Macro-op fusion: a Cmp*/Test* head whose successor Jcc is not a
-    // control-flow landing point executes as one dispatch but retires as
-    // two instructions (two trace entries, two counter retires, same
-    // rflags effects).  Never fuse across the watchdog boundary, and not
-    // while a watch is armed (the tail's reads must stay visible).
-    if (insn.fused && executed + 2 <= max_steps &&
-        (!Masks || watch_mask_ == 0)) {
-      switch (insn.op) {
-        case Opcode::CmpRR:
-          set_flags_cmp(reg(insn.r1), reg(insn.r2));
-          break;
-        case Opcode::CmpRI:
-          set_flags_cmp(reg(insn.r1), static_cast<Word>(insn.imm));
-          break;
-        case Opcode::TestRR:
-          set_flags_result(reg(insn.r1) & reg(insn.r2));
-          break;
-        default:  // TestRI: the only remaining fusable head
-          set_flags_result(reg(insn.r1) & static_cast<Word>(insn.imm));
-          break;
-      }
-      // The fused flag guarantees the successor slot exists and is the Jcc.
-      const Instruction& jcc = fetched[1];
-      const Addr jrip = rip + 1;
-      const Addr next = cond_taken(jcc.op, reg(Reg::rflags))
-                            ? static_cast<Addr>(jcc.imm)
-                            : jrip + 1;
-      set_reg(Reg::rip, next);
-      executed += 2;
-      branches += 1;  // the head is not a branch; the tail is
-      tsc += 2 * kTscPerStep;
-      if constexpr (Trace) {
-        trace->push_back(rip);
-        trace->push_back(jrip);
-      }
-      continue;
-    }
-
-    Addr next_rip = rip + 1;
-    Trap trap;
-
-    switch (insn.op) {
-      case Opcode::Nop:
-        break;
-      case Opcode::MovRR:
-        set_reg(insn.r1, reg(insn.r2));
-        break;
-      case Opcode::MovRI:
-        set_reg(insn.r1, static_cast<Word>(insn.imm));
-        break;
-      case Opcode::Load: {
-        Word v = 0;
-        trap = mem.read(reg(insn.r2) + static_cast<Word>(insn.imm), v);
-        if (!trap) set_reg(insn.r1, v);
-        break;
-      }
-      case Opcode::Store:
-        trap = mem.write(reg(insn.r1) + static_cast<Word>(insn.imm),
-                         reg(insn.r2));
-        break;
-      case Opcode::Push: {
-        const Word sp = reg(Reg::rsp) - 1;
-        trap = mem.write(sp, reg(insn.r1));
-        if (!trap) {
-          set_reg(Reg::rsp, sp);
-          if constexpr (Shadow) {
-            // The mirror stores the complement so a stale/never-pushed
-            // slot pair (0, 0) cannot masquerade as consistent.
-            trap = mem.write(sp + static_cast<Word>(shadow_offset_),
-                             ~reg(insn.r1));
-          }
-        } else {
-          trap.kind = TrapKind::StackFault;
-        }
-        break;
-      }
-      case Opcode::Pop: {
-        Word v = 0;
-        trap = mem.read(reg(Reg::rsp), v);
-        if constexpr (Shadow) {
-          if (!trap) {
-            Word mirror = 0;
-            trap = mem.read(reg(Reg::rsp) + static_cast<Word>(shadow_offset_),
-                            mirror);
-            if (!trap && mirror != ~v) {
-              trap = Trap{TrapKind::StackCheck, reg(Reg::rsp), 0};
-            }
-          }
-        }
-        if (!trap) {
-          set_reg(Reg::rsp, reg(Reg::rsp) + 1);
-          set_reg(insn.r1, v);
-        } else if (trap.kind != TrapKind::StackCheck) {
-          trap.kind = TrapKind::StackFault;
-        }
-        break;
-      }
-      case Opcode::AddRR: {
-        const Word res = reg(insn.r1) + reg(insn.r2);
-        set_flags_result(res);
-        set_reg(insn.r1, res);
-        break;
-      }
-      case Opcode::AddRI: {
-        const Word res = reg(insn.r1) + static_cast<Word>(insn.imm);
-        set_flags_result(res);
-        set_reg(insn.r1, res);
-        break;
-      }
-      case Opcode::SubRR: {
-        const Word a = reg(insn.r1), b = reg(insn.r2);
-        set_flags_cmp(a, b);
-        set_reg(insn.r1, a - b);
-        break;
-      }
-      case Opcode::SubRI: {
-        const Word a = reg(insn.r1), b = static_cast<Word>(insn.imm);
-        set_flags_cmp(a, b);
-        set_reg(insn.r1, a - b);
-        break;
-      }
-      case Opcode::MulRR: {
-        const Word res = reg(insn.r1) * reg(insn.r2);
-        set_flags_result(res);
-        set_reg(insn.r1, res);
-        break;
-      }
-      case Opcode::DivR: {
-        const Word d = reg(insn.r1);
-        if (d == 0) {
-          trap = Trap{TrapKind::DivideError, rip, 0};
-        } else {
-          const Word a = reg(Reg::rax);
-          set_reg(Reg::rax, a / d);
-          set_reg(Reg::rdx, a % d);
-          set_flags_result(a / d);
-        }
-        break;
-      }
-      case Opcode::AndRR: {
-        const Word res = reg(insn.r1) & reg(insn.r2);
-        set_flags_result(res);
-        set_reg(insn.r1, res);
-        break;
-      }
-      case Opcode::AndRI: {
-        const Word res = reg(insn.r1) & static_cast<Word>(insn.imm);
-        set_flags_result(res);
-        set_reg(insn.r1, res);
-        break;
-      }
-      case Opcode::OrRR: {
-        const Word res = reg(insn.r1) | reg(insn.r2);
-        set_flags_result(res);
-        set_reg(insn.r1, res);
-        break;
-      }
-      case Opcode::OrRI: {
-        const Word res = reg(insn.r1) | static_cast<Word>(insn.imm);
-        set_flags_result(res);
-        set_reg(insn.r1, res);
-        break;
-      }
-      case Opcode::XorRR: {
-        const Word res = reg(insn.r1) ^ reg(insn.r2);
-        set_flags_result(res);
-        set_reg(insn.r1, res);
-        break;
-      }
-      case Opcode::XorRI: {
-        const Word res = reg(insn.r1) ^ static_cast<Word>(insn.imm);
-        set_flags_result(res);
-        set_reg(insn.r1, res);
-        break;
-      }
-      case Opcode::ShlRI: {
-        const Word res = reg(insn.r1) << (insn.imm & 63);
-        set_flags_result(res);
-        set_reg(insn.r1, res);
-        break;
-      }
-      case Opcode::ShrRI: {
-        const Word res = reg(insn.r1) >> (insn.imm & 63);
-        set_flags_result(res);
-        set_reg(insn.r1, res);
-        break;
-      }
-      case Opcode::ShlRR: {
-        const Word res = reg(insn.r1) << (reg(insn.r2) & 63);
-        set_flags_result(res);
-        set_reg(insn.r1, res);
-        break;
-      }
-      case Opcode::ShrRR: {
-        const Word res = reg(insn.r1) >> (reg(insn.r2) & 63);
-        set_flags_result(res);
-        set_reg(insn.r1, res);
-        break;
-      }
-      case Opcode::Neg: {
-        const Word res = 0 - reg(insn.r1);
-        set_flags_result(res);
-        set_reg(insn.r1, res);
-        break;
-      }
-      case Opcode::Not: {
-        const Word res = ~reg(insn.r1);
-        set_flags_result(res);
-        set_reg(insn.r1, res);
-        break;
-      }
-      case Opcode::Inc: {
-        const Word res = reg(insn.r1) + 1;
-        set_flags_result(res);
-        set_reg(insn.r1, res);
-        break;
-      }
-      case Opcode::Dec: {
-        const Word res = reg(insn.r1) - 1;
-        set_flags_result(res);
-        set_reg(insn.r1, res);
-        break;
-      }
-      case Opcode::CmpRR:
-        set_flags_cmp(reg(insn.r1), reg(insn.r2));
-        break;
-      case Opcode::CmpRI:
-        set_flags_cmp(reg(insn.r1), static_cast<Word>(insn.imm));
-        break;
-      case Opcode::TestRR:
-        set_flags_result(reg(insn.r1) & reg(insn.r2));
-        break;
-      case Opcode::TestRI:
-        set_flags_result(reg(insn.r1) & static_cast<Word>(insn.imm));
-        break;
-      case Opcode::Jmp:
-        next_rip = static_cast<Addr>(insn.imm);
-        break;
-      case Opcode::JmpR:
-        next_rip = reg(insn.r1);
-        break;
-      case Opcode::Je:
-        if (flag(kFlagZero)) next_rip = static_cast<Addr>(insn.imm);
-        break;
-      case Opcode::Jne:
-        if (!flag(kFlagZero)) next_rip = static_cast<Addr>(insn.imm);
-        break;
-      case Opcode::Jl:
-        if (flag(kFlagSign)) next_rip = static_cast<Addr>(insn.imm);
-        break;
-      case Opcode::Jle:
-        if (flag(kFlagSign) || flag(kFlagZero)) {
-          next_rip = static_cast<Addr>(insn.imm);
-        }
-        break;
-      case Opcode::Jg:
-        if (!flag(kFlagSign) && !flag(kFlagZero)) {
-          next_rip = static_cast<Addr>(insn.imm);
-        }
-        break;
-      case Opcode::Jge:
-        if (!flag(kFlagSign)) next_rip = static_cast<Addr>(insn.imm);
-        break;
-      case Opcode::Jb:
-        if (flag(kFlagCarry)) next_rip = static_cast<Addr>(insn.imm);
-        break;
-      case Opcode::Jae:
-        if (!flag(kFlagCarry)) next_rip = static_cast<Addr>(insn.imm);
-        break;
-      case Opcode::Call: {
-        const Word sp = reg(Reg::rsp) - 1;
-        trap = mem.write(sp, rip + 1);
-        if (!trap) {
-          set_reg(Reg::rsp, sp);
-          next_rip = static_cast<Addr>(insn.imm);
-          if constexpr (Shadow) {
-            trap = mem.write(sp + static_cast<Word>(shadow_offset_),
-                             ~(rip + 1));
-          }
-        } else {
-          trap.kind = TrapKind::StackFault;
-        }
-        break;
-      }
-      case Opcode::Ret: {
-        Word ra = 0;
-        trap = mem.read(reg(Reg::rsp), ra);
-        if constexpr (Shadow) {
-          if (!trap) {
-            Word mirror = 0;
-            trap = mem.read(reg(Reg::rsp) + static_cast<Word>(shadow_offset_),
-                            mirror);
-            if (!trap && mirror != ~ra) {
-              trap = Trap{TrapKind::StackCheck, reg(Reg::rsp), 0};
-            }
-          }
-        }
-        if (!trap) {
-          set_reg(Reg::rsp, reg(Reg::rsp) + 1);
-          next_rip = ra;
-        } else if (trap.kind != TrapKind::StackCheck) {
-          trap.kind = TrapKind::StackFault;
-        }
-        break;
-      }
-      case Opcode::Rdtsc:
-        set_reg(insn.r1, tsc);
-        break;
-      case Opcode::Hlt:
-        info.status = StepInfo::Status::Halted;
-        break;
-      case Opcode::AssertLeRI:
-        if (static_cast<std::int64_t>(reg(insn.r1)) > insn.imm) {
-          trap = Trap{TrapKind::AssertFailed, rip, insn.aux};
-        }
-        break;
-      case Opcode::AssertGeRI:
-        if (static_cast<std::int64_t>(reg(insn.r1)) < insn.imm) {
-          trap = Trap{TrapKind::AssertFailed, rip, insn.aux};
-        }
-        break;
-      case Opcode::AssertEqRI:
-        if (reg(insn.r1) != static_cast<Word>(insn.imm)) {
-          trap = Trap{TrapKind::AssertFailed, rip, insn.aux};
-        }
-        break;
-      case Opcode::AssertNeRI:
-        if (reg(insn.r1) == static_cast<Word>(insn.imm)) {
-          trap = Trap{TrapKind::AssertFailed, rip, insn.aux};
-        }
-        break;
-      case Opcode::AssertEqRR:
-        if (reg(insn.r1) != reg(insn.r2)) {
-          trap = Trap{TrapKind::AssertFailed, rip, insn.aux};
-        }
-        break;
-      case Opcode::AssertLtRR:
-        if (reg(insn.r1) >= reg(insn.r2)) {
-          trap = Trap{TrapKind::AssertFailed, rip, insn.aux};
-        }
-        break;
-      case Opcode::Ud:
-        // handled at fetch
-        break;
-    }
-
-    if (trap || info.status == StepInfo::Status::Halted) {
-      // A trapped or halting instruction does not retire: flush what did.
-      flush();
-      if (trap) {
-        info.status = StepInfo::Status::Trapped;
-        info.trap = trap;
-      }
-      info.rip_before = rip;
-      if constexpr (Masks) {
-        info.read_mask = regs_read(insn);
-        info.written_mask = regs_written(insn);
-      }
-      return info;
-    }
-
-    set_reg(Reg::rip, next_rip);
-    ++executed;
-    branches += is_branch(insn.op) ? 1 : 0;
-    loads += is_mem_load(insn.op) ? 1 : 0;
-    stores += is_mem_store(insn.op) ? 1 : 0;
-    tsc += kTscPerStep;
-    if constexpr (Trace) trace->push_back(rip);
-  }
-
-  flush();
+  info = StepInfo{};
   info.status = StepInfo::Status::Trapped;
   info.trap = Trap{TrapKind::Watchdog, reg(Reg::rip), 0};
   info.rip_before = reg(Reg::rip);
@@ -851,39 +417,10 @@ std::size_t diff_regs(const Cpu& a, const Cpu& b, std::vector<RegDiff>& out) {
 }
 
 StepInfo Cpu::run(std::uint64_t max_steps) {
-  // A register watch needs the per-instruction mask check only the
-  // interpreter loops implement; the engines are bit-identical, so the
-  // detour never changes results.
-  if (watch_mask_ != 0) return run_interp(max_steps);
-  switch (engine_) {
-    case EngineKind::Reference:
-      return run_reference(max_steps);
-    case EngineKind::Jit:
-      // No compiled stream attached (e.g. a scratch machine built outside
-      // the campaign path): fall back to the fast interpreter, which is
-      // bit-identical.
-      if (jit_ != nullptr) return run_jit(max_steps);
-      break;
-    case EngineKind::Fast:
-      break;
-  }
-  return run_interp(max_steps);
-}
-
-StepInfo Cpu::run_interp(std::uint64_t max_steps) {
-  const unsigned key = (trace_ != nullptr ? 1u : 0u) |
-                       (track_masks_ || watch_mask_ != 0 ? 2u : 0u) |
-                       (shadow_enabled_ ? 4u : 0u);
-  switch (key) {
-    case 0: return run_loop<false, false, false>(max_steps);
-    case 1: return run_loop<true, false, false>(max_steps);
-    case 2: return run_loop<false, true, false>(max_steps);
-    case 3: return run_loop<true, true, false>(max_steps);
-    case 4: return run_loop<false, false, true>(max_steps);
-    case 5: return run_loop<true, false, true>(max_steps);
-    case 6: return run_loop<false, true, true>(max_steps);
-    default: return run_loop<true, true, true>(max_steps);
-  }
+  // No compiled stream attached (e.g. a bare Cpu in a test): the reference
+  // engine is bit-identical.
+  if (engine_ == EngineKind::Jit && jit_ != nullptr) return run_jit(max_steps);
+  return run_reference(max_steps);
 }
 
 }  // namespace xentry::sim

@@ -1,6 +1,6 @@
 // Execution engine for one logical core.
 //
-// The CPU interprets a pre-decoded Program against a Memory, maintaining
+// The CPU executes a pre-decoded Program against a Memory, maintaining
 // the 18 architectural registers that form the paper's fault-injection
 // surface.  Hardware faults are reported as values (Trap), never as C++
 // exceptions: the run loops are the simulator's hot path.
@@ -8,17 +8,16 @@
 // Two engines share the architectural semantics:
 //   - step() / run_reference(): the reference engine.  One instruction per
 //     call, a fresh StepInfo per step — used by single-step callers
-//     (injection-point stepping, lockstep comparison) and as the oracle
-//     the differential tests check the fast engine against.
-//   - run(): the mode-specialized engine.  Dispatches once, per run, to a
-//     loop templated over the three per-step feature flags (trace
-//     recording, register-mask tracking, shadow-stack redundancy), so the
-//     common golden-run configuration compiles to a tight loop with zero
-//     disabled-feature branches.  Retire bookkeeping (steps, TSC,
-//     counters) accumulates in locals and is flushed once at loop exit,
-//     and fusable Cmp*/Test* + Jcc pairs (see Program::fused) execute in
-//     one dispatch while still retiring as two instructions.  Every
-//     architectural observable is bit-identical to the reference engine.
+//     (lockstep comparison, forensics replay) and as the oracle the
+//     differential tests check the threaded engine against.
+//   - run_jit(): the threaded-code superblock engine (src/sim/jit/).
+//     Executes a CompiledProgram with computed-goto dispatch; retire
+//     bookkeeping (steps, TSC, counters) is pre-aggregated per superblock
+//     and flushed once at loop exit, and compare+branch pairs execute in
+//     one dispatch while still retiring as two instructions.  It hands
+//     single instructions to step() near the watchdog horizon and around
+//     register-watch hits, so every architectural observable is
+//     bit-identical to the reference engine.
 #pragma once
 
 #include <array>
@@ -38,23 +37,20 @@ namespace jit {
 struct CompiledProgram;
 }  // namespace jit
 
-/// Which engine Cpu::run drives.  All three are bit-identical in every
+/// Which engine Cpu::run drives.  Both are bit-identical in every
 /// architectural observable (the differential tests assert it); they
 /// differ only in throughput and in what they need attached.
 enum class EngineKind : std::uint8_t {
-  /// Mode-specialized interpreter (run_loop templates).  The default.
-  Fast,
   /// step()-driven reference engine: the oracle.
   Reference,
-  /// Threaded-code superblock engine (src/sim/jit/).  Needs a
-  /// CompiledProgram attached via set_compiled; without one, run() falls
-  /// back to Fast.
+  /// Threaded-code superblock engine (src/sim/jit/).  The default.  Needs
+  /// a CompiledProgram attached via set_compiled; without one, run()
+  /// falls back to the reference engine.
   Jit,
 };
 
 constexpr std::string_view engine_name(EngineKind k) {
   switch (k) {
-    case EngineKind::Fast: return "fast";
     case EngineKind::Reference: return "reference";
     case EngineKind::Jit: return "jit";
   }
@@ -121,23 +117,28 @@ class Cpu {
 
   /// Runs until Hlt, a trap, or `max_steps` instructions (which raises the
   /// Watchdog trap, modelling Xen's NMI watchdog catching a hung
-  /// hypervisor).  Returns the last StepInfo.  Picks the run-loop
-  /// specialization for the current trace/mask/shadow configuration once,
-  /// then executes with no per-step feature tests; the feature setters
-  /// must not be called while a run is in flight.
+  /// hypervisor).  Returns the last StepInfo.  Drives the selected engine
+  /// (run_jit when a compiled program is attached, run_reference
+  /// otherwise); the feature setters must not be called while a run is in
+  /// flight.
   StepInfo run(std::uint64_t max_steps);
 
   /// Reference-engine equivalent of run(): drives step() one instruction
-  /// at a time.  Semantically identical to run() (the differential tests
-  /// assert it); kept for lockstep callers and as the oracle.
+  /// at a time, honouring the register watch before each one.
+  /// Semantically identical to run_jit (the differential tests assert
+  /// it); the oracle.
   StepInfo run_reference(std::uint64_t max_steps);
 
   /// Threaded-code engine: executes the attached CompiledProgram with
   /// computed-goto dispatch at superblock granularity.  Requires
-  /// set_compiled first.  When the remaining watchdog budget cannot cover
-  /// a superblock's worst case, it deopts — flushes exact architectural
-  /// state and finishes the tail through the interpreter — so results
-  /// stay bit-identical to run_reference at every budget.
+  /// set_compiled first.  It deopts — flushes exact architectural state
+  /// and hands control to step() — where superblock granularity is too
+  /// coarse: when the remaining watchdog budget cannot cover a
+  /// superblock's worst case (the tail finishes in run_reference), and
+  /// when an armed register watch intersects the registers the rest of
+  /// the superblock touches (single steps up to the watched instruction,
+  /// re-entering the threaded loop once the watch is clear).  Results stay
+  /// bit-identical to run_reference at every budget and watch.
   StepInfo run_jit(std::uint64_t max_steps);
 
   std::uint64_t steps_executed() const { return steps_; }
@@ -161,10 +162,12 @@ class Cpu {
   /// *before* executing any instruction whose static read or write set
   /// intersects the mask, returning StepInfo::Status::Ok with the pending
   /// instruction's masks filled and rip still pointing at it.  The
-  /// injection path uses this to batch execution between
-  /// activation-relevant instructions on the fast engine and single-step
-  /// only those.  Forces interpreter execution (bit-identical) while set:
-  /// the jit loop has no per-instruction mask check.  Zero disables.
+  /// injection path uses this to run at full engine speed up to the first
+  /// instruction that can activate (or overwrite) a flipped register.
+  /// Both engines honour it: run_reference checks before every step, and
+  /// the threaded engine checks each superblock's static read/write
+  /// register union at entry and single-steps only superblocks that
+  /// intersect the watch.  Zero disables.
   void set_watch(std::uint32_t reg_mask) { watch_mask_ = reg_mask; }
 
   Word tsc() const { return tsc_; }
@@ -183,7 +186,8 @@ class Cpu {
   bool shadow_stack_enabled() const { return shadow_enabled_; }
 
   /// Selects the engine run() drives.  Jit without a compiled program
-  /// attached silently falls back to Fast (same architectural results).
+  /// attached falls back to the reference engine (same architectural
+  /// results).
   void set_engine(EngineKind kind) { engine_ = kind; }
   EngineKind engine() const { return engine_; }
 
@@ -203,17 +207,11 @@ class Cpu {
   void set_flags_result(Word res);
   bool flag(Word bit) const { return (reg(Reg::rflags) & bit) != 0; }
 
-  /// The mode-specialized hot loop behind run().  One instantiation per
-  /// trace/mask/shadow combination; `Masks` only affects the StepInfo
-  /// materialized at loop exit (per-step masks are a step() concern).
-  template <bool Trace, bool Masks, bool Shadow>
-  StepInfo run_loop(std::uint64_t max_steps);
-
-  /// Interpreter dispatch behind run(): picks the run_loop specialization
-  /// for the current trace/mask/shadow configuration.  Also the deopt
-  /// tail of run_jit and the fallback when Jit is selected with no
-  /// compiled program.
-  StepInfo run_interp(std::uint64_t max_steps);
+  /// Register-watch check for the instruction at rip: true, with `info`
+  /// set to the Ok stop (rip_before and the pending instruction's static
+  /// masks), when its read or write set intersects the watch.  False for
+  /// an unfetchable rip; step() raises that trap.
+  bool watch_hit(StepInfo& info) const;
 
   /// The threaded-code hot loop (src/sim/jit/engine.cpp).  Masks are not
   /// a template axis: they only affect the StepInfo materialized at exit,
@@ -232,7 +230,7 @@ class Cpu {
   Word tsc_ = 0;
   std::uint64_t steps_ = 0;
   std::int64_t shadow_offset_ = 0;
-  EngineKind engine_ = EngineKind::Fast;
+  EngineKind engine_ = EngineKind::Jit;
   std::uint32_t watch_mask_ = 0;
   bool shadow_enabled_ = false;
   bool track_masks_ = true;

@@ -78,12 +78,6 @@ struct Instruction {
   Reg r2 = Reg::rax;
   std::int64_t imm = 0;
   std::uint32_t aux = 0;  ///< assertion id for Assert* opcodes
-  /// Micro-architectural macro-op fusion hint, set by Program at assembly
-  /// time (never by the Assembler): nonzero when this slot is a Cmp*/Test*
-  /// whose immediate successor is a fusable conditional jump.  Not part of
-  /// the architectural instruction encoding; occupies tail padding and is
-  /// last so positional aggregate initialization stays unchanged.
-  std::uint8_t fused = 0;
 };
 
 /// Static classification used by the performance counters.
@@ -111,26 +105,13 @@ constexpr bool is_mem_store(Opcode op) {
   return op == Opcode::Store || op == Opcode::Push || op == Opcode::Call;
 }
 
-/// Direct conditional branches: legal macro-op fusion tails.
+/// Direct conditional branches.
 constexpr bool is_cond_branch(Opcode op) {
   switch (op) {
     case Opcode::Je: case Opcode::Jne:
     case Opcode::Jl: case Opcode::Jle:
     case Opcode::Jg: case Opcode::Jge:
     case Opcode::Jb: case Opcode::Jae:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// Flag-setting compare/test instructions: legal macro-op fusion heads.
-/// They write only rflags and cannot trap, so a fused pair has exactly the
-/// architectural effects of executing the two instructions back to back.
-constexpr bool is_fusable_head(Opcode op) {
-  switch (op) {
-    case Opcode::CmpRR: case Opcode::CmpRI:
-    case Opcode::TestRR: case Opcode::TestRI:
       return true;
     default:
       return false;

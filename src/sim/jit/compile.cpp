@@ -207,9 +207,13 @@ std::shared_ptr<const CompiledProgram> compile(
       end.pre_stores = s;
     }
     std::uint32_t rem = 0;
+    std::uint32_t touched = 0;
     for (std::uint32_t i = sb.last;; --i) {
-      if (retires(op_at(i))) ++rem;
+      const Instruction& insn = program.at(base + i);
+      if (retires(insn.op)) ++rem;
+      touched |= regs_read(insn) | regs_written(insn);
       cp->ops[i].sb_remaining = rem;
+      cp->ops[i].sb_regs = touched;
       if (i == sb.first) break;
     }
   }

@@ -13,8 +13,8 @@
 // -site splits), extended across trailing Ud padding.  A superblock is
 // therefore entered at its top by direct branches, anywhere inside it by
 // indirect control flow or a corrupted rip, and left by side exits
-// (branches, calls, traps) or off its end.  Two static per-op fields make
-// entry-anywhere accounting free:
+// (branches, calls, traps) or off its end.  Three static per-op fields
+// make entry-anywhere accounting and the superblock-entry checks free:
 //
 //   pre_*        what a walk from the superblock top to this op would have
 //                retired.  The executor *subtracts* the entry op's prefix
@@ -24,8 +24,14 @@
 //   sb_remaining worst-case retires from this op to the superblock's end.
 //                Checked once per superblock entry against the remaining
 //                watchdog budget; when the budget cannot cover the run,
-//                the executor deopts to the interpreter run_loop for the
+//                the executor deopts to the reference engine for the
 //                short tail instead of re-checking per step.
+//   sb_regs      union of the static read and write register sets
+//                (sim::regs_read | sim::regs_written) from this op to the
+//                superblock's end.  Checked against the CPU's register
+//                watch in the same entry check: a superblock whose rest
+//                might touch a watched register is single-stepped up to
+//                the touching op instead of run threaded.
 //
 // The stream is position-independent shareable data: branch targets are
 // slot indices, not pointers, and nothing references the Cpu or Memory it
@@ -119,7 +125,8 @@ struct OpEntry {
   std::uint32_t pre_loads = 0;
   std::uint32_t pre_stores = 0;
   std::uint32_t sb_remaining = 0;
-  std::uint32_t aux = 0;  ///< assertion id
+  std::uint32_t sb_regs = 0;  ///< reg_bit mask; see the file header
+  std::uint32_t aux = 0;      ///< assertion id
   std::int64_t imm = 0;   ///< raw immediate (branch target address, ALU imm)
 };
 
@@ -156,8 +163,7 @@ struct CompiledProgram {
   std::vector<Superblock> superblocks;
 
   /// True when this compilation is valid for `program` (same base, size,
-  /// and text signature — the fused hints may differ; they are not part
-  /// of the architectural text and the stream does not use them).
+  /// and text signature).
   bool matches(const Program& program) const;
 };
 

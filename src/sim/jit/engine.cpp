@@ -4,8 +4,8 @@
 // every handler ends by jumping straight through the label table to the
 // next slot's handler, so the steady state is one indirect jump per
 // instruction — no fetch bounds check, no opcode switch, no per-step
-// retire/TSC/counter updates, and no fusion re-check (a threaded
-// dispatch is already the single jump fusion buys the interpreter).
+// retire/TSC/counter updates, and no fusion re-check (compare+branch
+// pairs were fused into single tokens at compile time).
 //
 // Architectural rip is implicit in the stream cursor `ip` and only
 // materialized into the register file at control-flow exits (trap, halt,
@@ -19,15 +19,23 @@
 // Watchdog exactness: superblock entry checks the *worst case* retires
 // of the run against the remaining budget once.  When the budget is too
 // tight — only near the watchdog horizon — the engine deopts: it flushes
-// exact architectural state and lets Cpu::run_interp walk the short tail
-// with its per-step check.  Ops that do not retire (Hlt, Ud, the
+// exact architectural state and lets Cpu::run_reference walk the short
+// tail with its per-step check.  Ops that do not retire (Hlt, Ud, the
 // off-the-end sentinel) re-check explicitly because the entry check only
 // bounds retires, and the reference engine watchdogs *before* reaching
 // them when the budget is already exhausted.
 //
+// Register watch: the same entry check ANDs the entry op's sb_regs (the
+// registers the rest of the superblock reads or writes) with the armed
+// watch.  On a hit the engine deopts the same way, and run_jit single-
+// steps through step() until the pending instruction itself touches the
+// watch (the Ok stop Cpu::set_watch documents) or the superblock suffix
+// at rip is clear again, where it re-enters the threaded loop.  With no
+// watch armed the AND is always zero.
+//
 // Computed goto is a GNU extension (GCC and Clang both provide it); on
-// other compilers run_jit transparently degrades to the fast
-// interpreter, which is bit-identical.
+// other compilers run_jit transparently degrades to the reference
+// engine, which is bit-identical.
 #include <stdexcept>
 #include <utility>
 
@@ -71,6 +79,7 @@ StepInfo Cpu::run_jit_loop(std::uint64_t max_steps, bool& deopted,
   // so keeps operand loads out of the store-reload chains.
   Word* const __restrict regs = regs_.data();
   std::vector<Addr>* const trace = trace_;
+  const std::uint32_t watch = watch_mask_;
   const Word tsc0 = tsc_;
 
   // Signed on purpose: a mid-superblock entry subtracts the entry op's
@@ -188,13 +197,14 @@ StepInfo Cpu::run_jit_loop(std::uint64_t max_steps, bool& deopted,
 // Superblock entry, replicated at every transfer site so each transfer
 // op owns a private indirect-branch slot (a single shared entry dispatch
 // would fold every branch/call/ret target into one predictor entry and
-// mispredict constantly).  One budget check covers the whole superblock;
-// the entry op's prefixes are subtracted so the accumulators read true
-// totals at the next exit.
+// mispredict constantly).  One budget-and-watch check covers the whole
+// superblock; the entry op's prefixes are subtracted so the accumulators
+// read true totals at the next exit.
 #define XJ_ENTER()                                                        \
   do {                                                                    \
-    if (max_steps - static_cast<std::uint64_t>(executed) <                \
-        ip->sb_remaining) {                                               \
+    if ((max_steps - static_cast<std::uint64_t>(executed) <               \
+         ip->sb_remaining) |                                              \
+        ((ip->sb_regs & watch) != 0)) {                                   \
       goto deopt;                                                         \
     }                                                                     \
     executed -= ip->pre_retired;                                          \
@@ -303,8 +313,9 @@ exit_oor:
   return info;
 
 deopt:
-  // Remaining budget below this superblock's worst case: flush exact
-  // state and let the interpreter's per-step watchdog walk the tail.
+  // Remaining budget below this superblock's worst case, or the watch
+  // intersects its registers: flush exact state and hand the rest to
+  // run_jit's single-step paths.
   regs[kRip] = XJ_CUR();
   flush();
   deopted = true;
@@ -328,7 +339,7 @@ watchdog:
 
 trap_exit:
   // `tr` describes the trap raised by the op at `ip`, which does not
-  // retire.  Masks mirror the interpreter exit: computed from the
+  // retire.  Masks mirror the reference engine: computed from the
   // faulting instruction when mask tracking is on.
   executed += ip->pre_retired;
   branches += ip->pre_branches;
@@ -382,7 +393,7 @@ h_Push: {
   if constexpr (Shadow) {
     // The mirror stores the complement so a stale/never-pushed slot pair
     // (0, 0) cannot masquerade as consistent.  Mirror faults keep their
-    // own kind (the interpreter does not coerce them to StackFault).
+    // own kind (the reference engine does not coerce them to StackFault).
     tr = mem.write(sp + static_cast<Word>(shadow_offset_), ~regs[ip->r1]);
     if (tr) goto trap_exit;
   }
@@ -564,7 +575,7 @@ h_Ret: {
 
 h_Rdtsc:
   // TSC is implicit: base value plus retires so far, exactly what the
-  // interpreter's per-step accumulation would read here.
+  // reference engine's per-step accumulation would read here.
   regs[ip->r1] =
       tsc0 + static_cast<Word>(executed + ip->pre_retired) * kTscPerStep;
   XJ_NEXT();
@@ -664,36 +675,56 @@ h_SyncRip:
 }
 
 StepInfo Cpu::run_jit(std::uint64_t max_steps) {
-  bool deopted = false;
-  std::uint64_t remaining = 0;
-  StepInfo info;
+  const jit::CompiledProgram& cp = *jit_;
   const unsigned key =
       (trace_ != nullptr ? 1u : 0u) | (shadow_enabled_ ? 2u : 0u);
-  switch (key) {
-    case 0:
-      info = run_jit_loop<false, false>(max_steps, deopted, remaining);
-      break;
-    case 1:
-      info = run_jit_loop<true, false>(max_steps, deopted, remaining);
-      break;
-    case 2:
-      info = run_jit_loop<false, true>(max_steps, deopted, remaining);
-      break;
-    default:
-      info = run_jit_loop<true, true>(max_steps, deopted, remaining);
-      break;
+  std::uint64_t budget = max_steps;
+  for (;;) {
+    bool deopted = false;
+    std::uint64_t remaining = 0;
+    StepInfo info;
+    switch (key) {
+      case 0:
+        info = run_jit_loop<false, false>(budget, deopted, remaining);
+        break;
+      case 1:
+        info = run_jit_loop<true, false>(budget, deopted, remaining);
+        break;
+      case 2:
+        info = run_jit_loop<false, true>(budget, deopted, remaining);
+        break;
+      default:
+        info = run_jit_loop<true, true>(budget, deopted, remaining);
+        break;
+    }
+    if (!deopted) return info;
+    // Deopt: architectural state is exact.  Single-step until the pending
+    // instruction touches the watch or the superblock suffix at rip is
+    // clear of it.  A budget too tight for the suffix's worst case, or a
+    // rip outside the image, sends the rest to the reference engine, whose
+    // per-step watchdog, fetch fault and watch check are exact.
+    budget = remaining;
+    for (;;) {
+      const Addr off = reg(Reg::rip) - cp.base;
+      if (off >= cp.code_size) return run_reference(budget);
+      const jit::OpEntry& e = cp.ops[off];
+      if (budget < e.sb_remaining) return run_reference(budget);
+      if ((e.sb_regs & watch_mask_) == 0) break;
+      if (watch_hit(info)) return info;
+      info = step();
+      if (info.status != StepInfo::Status::Ok) return info;
+      --budget;
+    }
   }
-  if (!deopted) return info;
-  // Deopt tail: architectural state is exact; the interpreter finishes
-  // the remaining (watchdog-tight) budget with per-step checks.
-  return run_interp(remaining);
 }
 
 #else  // !defined(__GNUC__)
 
-// Computed goto unavailable: the threaded engine degrades to the fast
-// interpreter, which is bit-identical (just slower).
-StepInfo Cpu::run_jit(std::uint64_t max_steps) { return run_interp(max_steps); }
+// Computed goto unavailable: the threaded engine degrades to the reference
+// engine, which is bit-identical (just slower).
+StepInfo Cpu::run_jit(std::uint64_t max_steps) {
+  return run_reference(max_steps);
+}
 
 #endif
 

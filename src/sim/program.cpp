@@ -63,21 +63,6 @@ void Program::compute_landing() {
   for (const auto& [name, addr] : symbols_) mark(addr);
 }
 
-void Program::compute_fusion() {
-  for (Instruction& insn : code_) insn.fused = 0;
-  if (code_.size() < 2) return;
-
-  // A pair whose *tail* (the Jcc slot) is a landing point must not fuse —
-  // a jump arriving there must execute the bare Jcc, and fusing the pair
-  // would make the head's basic block extend across an incoming edge.
-  for (std::size_t i = 0; i + 1 < code_.size(); ++i) {
-    if (!is_fusable_head(code_[i].op)) continue;
-    if (!is_cond_branch(code_[i + 1].op)) continue;
-    if (landing_[i + 1]) continue;
-    code_[i].fused = 1;
-  }
-}
-
 std::string Program::symbol_at(Addr rip) const {
   std::string best;
   Addr best_addr = 0;

@@ -24,18 +24,16 @@ namespace xentry::sim {
 /// through a register and for manually pushed return addresses).
 ///
 /// This is the single source of truth for "where can control arrive":
-/// Program::compute_fusion consumes it (a pair whose Jcc slot is a
-/// landing point must not fuse), the analysis subsystem's CFG builder
-/// consumes it (every landing point is a basic-block leader), and the
-/// threaded-code compiler's superblock formation consumes it through the
-/// CFG, so the fuser, the verifier, and the compiler can never disagree
-/// about landing legality.  Computed once at assembly time and cached on
-/// the Program (Program::landing_sites); this free function returns the
-/// cached vector.
+/// the analysis subsystem's CFG builder consumes it (every landing point
+/// is a basic-block leader), and the threaded-code compiler's superblock
+/// formation consumes it through the CFG, so the verifier and the
+/// compiler can never disagree about landing legality.  Computed once at
+/// assembly time and cached on the Program (Program::landing_sites); this
+/// free function returns the cached vector.
 const std::vector<bool>& compute_landing_sites(const class Program& program);
 
 /// FNV-1a accumulation of one instruction's architectural text (op,
-/// operands, immediate, aux — not the fused hint, which is derived).
+/// operands, immediate, aux).
 /// Shared by program_text_signature and the analysis CFG's per-block
 /// signatures so all layers key caches off the same hash.
 std::uint64_t instruction_fnv(std::uint64_t h, const Instruction& insn);
@@ -48,26 +46,6 @@ inline constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ull;
 /// engine's CompiledProgram cache.
 std::uint64_t program_text_signature(const class Program& program);
 
-/// Macro-op fusion metadata for one instruction slot, computed once at
-/// assembly time.  When `fused` is set, the slot holds a Cmp*/Test* whose
-/// immediate successor is a direct conditional jump and no control flow can
-/// land *between* the two; the specialized run loops may then execute the
-/// pair in one dispatch.  The pair still retires as two instructions (two
-/// trace entries, two counter retires, same rflags effects), so every
-/// architectural observable is bit-identical to unfused execution.  The
-/// architectural code stream is never rewritten: single-stepping, the
-/// injector, and diagnostics keep seeing the original two instructions.
-///
-/// The hot loops do not read this struct: the hint lives in
-/// Instruction::fused (the slot's padding byte) and the branch's opcode and
-/// target are read from the successor slot.  This accessor view exists for
-/// tests and diagnostics.
-struct FusedPair {
-  bool fused = false;
-  Opcode jcc = Opcode::Nop;  ///< the fused conditional branch
-  Addr target = 0;           ///< its taken-path target (resolved imm)
-};
-
 class Program {
  public:
   Program() = default;
@@ -75,7 +53,6 @@ class Program {
           std::map<std::string, Addr> symbols)
       : base_(base), code_(std::move(code)), symbols_(std::move(symbols)) {
     compute_landing();
-    compute_fusion();
   }
 
   Addr base() const { return base_; }
@@ -87,19 +64,11 @@ class Program {
 
   const Instruction& at(Addr rip) const { return code_[rip - base_]; }
 
-  /// Single-lookup fetch for the interpreter hot path: nullptr when `rip`
-  /// is outside the code image (instruction fetch from unmapped memory).
+  /// Single-lookup fetch for the reference engine: nullptr when `rip` is
+  /// outside the code image (instruction fetch from unmapped memory).
   const Instruction* fetch(Addr rip) const {
     const Addr off = rip - base_;
     return off < code_.size() ? &code_[off] : nullptr;
-  }
-
-  /// Fusion metadata for the instruction slot at offset `off` (valid for
-  /// off < size()).
-  FusedPair fused(std::size_t off) const {
-    if (!code_[off].fused) return {};
-    const Instruction& jcc = code_[off + 1];
-    return FusedPair{true, jcc.op, static_cast<Addr>(jcc.imm)};
   }
 
   /// Address of a named symbol (function entry).  Throws if unknown.
@@ -121,7 +90,6 @@ class Program {
 
  private:
   void compute_landing();
-  void compute_fusion();
 
   Addr base_ = 0;
   std::vector<Instruction> code_;

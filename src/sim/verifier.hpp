@@ -9,7 +9,7 @@
 //
 // The implementation lives in the analysis library (src/analysis): the
 // verifier walks the same basic-block CFG the control-flow-integrity
-// detector replays against at runtime, so branch-target legality, fusion
+// detector replays against at runtime, so branch-target legality,
 // landing-site rules, and verifier diagnostics share one source of truth.
 // Linking xentry_analysis is what provides verify_program.
 #pragma once

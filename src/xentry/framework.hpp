@@ -66,12 +66,10 @@ struct XentryConfig {
   /// timing envelopes.
   bool timing_detection = false;
   /// Execution engine for the machines driven under this configuration.
-  /// Consumed by the campaign runner, which attaches it (plus the
-  /// threaded-code compilation, for EngineKind::Jit) to every machine it
-  /// builds; standalone Machine users call Machine::set_execution_engine
-  /// directly.  Jit requires analysis artifacts whose signature matches
-  /// the machine's program (validate_campaign_config enforces it).
-  sim::EngineKind engine = sim::EngineKind::Fast;
+  /// Consumed by the campaign runner, which selects it on every machine it
+  /// builds (each machine attaches its own cached threaded-code stream);
+  /// standalone Machine users call Machine::set_execution_engine directly.
+  sim::EngineKind engine = sim::EngineKind::Jit;
   ExceptionParser::Policy exception_policy{};
   /// Observability gates for the framework layer (detections per
   /// technique, handler-length and detection-latency histograms).

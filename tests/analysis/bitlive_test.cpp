@@ -106,7 +106,7 @@ TEST(BitLivenessTest, CompareForBranchMakesOperandFullyLive) {
 }
 
 TEST(BitLivenessTest, FusedAndUnfusedComparesAgree) {
-  // The assembler marks adjacent cmp+jcc pairs fused; a nop in between
+  // The threaded engine fuses adjacent cmp+jcc pairs; a nop in between
   // prevents fusion.  Fusion is an execution concern only — the map must
   // be identical at the compare either way.
   Assembler fused(kBase);
@@ -118,7 +118,7 @@ TEST(BitLivenessTest, FusedAndUnfusedComparesAgree) {
   fused.bind(f1);
   fused.hlt();
   const Program pf = fused.finish();
-  ASSERT_TRUE(pf.at(kBase + 0).fused);
+  ASSERT_TRUE(sim::is_cond_branch(pf.at(kBase + 1).op));
 
   Assembler plain(kBase);
   plain.global("main");
@@ -130,7 +130,7 @@ TEST(BitLivenessTest, FusedAndUnfusedComparesAgree) {
   plain.bind(p1);
   plain.hlt();
   const Program pp = plain.finish();
-  ASSERT_FALSE(pp.at(kBase + 0).fused);
+  ASSERT_FALSE(sim::is_cond_branch(pp.at(kBase + 1).op));
 
   const VulnerabilityMap mf = map_of(pf);
   const VulnerabilityMap mp = map_of(pp);

@@ -153,8 +153,9 @@ TEST(CfgTest, IndirectJumpWithResolvedTargets) {
 }
 
 TEST(CfgTest, BranchTargetAtJccSuppressesFusionAndSplitsBlocks) {
-  // A conditional branch that is itself a branch target must not fuse
-  // with the Cmp before it, and the pair must land in separate blocks.
+  // A conditional branch that is itself a branch target is a landing
+  // site between it and the Cmp before it, so the pair must land in
+  // separate blocks (the threaded engine keeps the Jcc's own token there).
   Assembler as(0);
   const auto jcc = as.make_label();
   const auto exit = as.make_label();
@@ -167,7 +168,7 @@ TEST(CfgTest, BranchTargetAtJccSuppressesFusionAndSplitsBlocks) {
   as.bind(exit);
   as.hlt();  // 4
   const Program p = as.finish();
-  EXPECT_FALSE(p.fused(1).fused);  // landing site between cmp and jcc
+  EXPECT_TRUE(p.landing_sites()[2]);  // landing site between cmp and jcc
   const ControlFlowGraph cfg = build_cfg(p);
   EXPECT_NE(cfg.block_at(1), cfg.block_at(2));
   const std::uint32_t b_jcc = cfg.block_at(2);
@@ -188,7 +189,7 @@ TEST(CfgTest, FusedPairStaysInsideOneBlock) {
   as.bind(exit);
   as.hlt();  // 4
   const Program p = as.finish();
-  EXPECT_TRUE(p.fused(1).fused);
+  EXPECT_FALSE(p.landing_sites()[2]);  // nothing lands between the pair
   const ControlFlowGraph cfg = build_cfg(p);
   EXPECT_EQ(cfg.block_at(1), cfg.block_at(2));
 }

@@ -1,17 +1,20 @@
-// Known answers of the `micro_campaign 2000 1 7` fixed point (the same
-// configuration, built here without the bench binary).
+// Known answers of `micro_campaign` fixed points (the same configurations,
+// built here without the bench binary): `2000 1 7` uniform and sampled,
+// `2000 4 7` uniform, and CI's checkpointed streaming run `5000 2 23
+// --records-out ... --checkpoint ... --checkpoint-every 200`.
 //
 // Records: engine-equivalence and repeat-run tests only prove that two
 // runs agree with each other; a change that alters every engine's records
 // the same way passes them.  These pins fix the absolute record digest
-// for every engine, uniform and importance-sampled.  Re-pinning a value is
-// a change to the records: say in CHANGES.md what changed in them and why.
+// for every engine.  Re-pinning a value is a change to the records: say in
+// CHANGES.md what changed in them and why.
 //
 // Cost: the machine copy counters bound the memory words snapshot and
 // restore move per injection, a deterministic stand-in for their time.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -25,19 +28,20 @@
 namespace xentry::fault {
 namespace {
 
-/// The configuration `micro_campaign 2000 1 7 [--engine E] [--sampling]`
-/// runs: dataset collection and transition detection on, analysis
-/// artifacts attached whenever the engine or the sampler needs them.
-CampaignConfig micro_campaign_config(sim::EngineKind engine, bool sampling) {
+/// The configuration `micro_campaign 2000 <shards> 7 [--engine E]
+/// [--sampling]` runs: dataset collection and transition detection on,
+/// analysis artifacts attached when the sampler needs them.
+CampaignConfig micro_campaign_config(sim::EngineKind engine, bool sampling,
+                                     int shards = 1) {
   CampaignConfig cfg;
   cfg.injections = 2000;
-  cfg.shards = 1;
+  cfg.shards = shards;
   cfg.seed = 7;
   cfg.collect_dataset = true;
   cfg.xentry.transition_detection = true;
   cfg.xentry.engine = engine;
   cfg.sampling.importance = sampling;
-  if (engine == sim::EngineKind::Jit || sampling) {
+  if (sampling) {
     cfg.analysis = std::make_shared<analysis::AnalysisArtifacts>(
         analysis::analyze_program(
             hv::build_microvisor(cfg.machine).program));
@@ -76,10 +80,8 @@ TEST_P(KnownAnswerTest, RecordsDigestIsPinned) {
 INSTANTIATE_TEST_SUITE_P(
     MicroCampaign2000x1Seed7, KnownAnswerTest,
     ::testing::Values(
-        Pin{sim::EngineKind::Fast, false, 0xea90685bedc71d1bull},
         Pin{sim::EngineKind::Reference, false, 0xea90685bedc71d1bull},
         Pin{sim::EngineKind::Jit, false, 0xea90685bedc71d1bull},
-        Pin{sim::EngineKind::Fast, true, 0x1a2dc40e709dc7b3ull},
         Pin{sim::EngineKind::Reference, true, 0x1a2dc40e709dc7b3ull},
         Pin{sim::EngineKind::Jit, true, 0x1a2dc40e709dc7b3ull}),
     [](const ::testing::TestParamInfo<Pin>& info) {
@@ -87,12 +89,52 @@ INSTANTIATE_TEST_SUITE_P(
              (info.param.sampling ? "_sampled" : "_uniform");
     });
 
+TEST(KnownAnswerShardsTest, FourShardUniformDigestIsPinned) {
+  // `micro_campaign 2000 4 7`: shards split the quota and seed their own
+  // streams, so this digest differs from the one-shard pin.
+  for (const sim::EngineKind engine :
+       {sim::EngineKind::Reference, sim::EngineKind::Jit}) {
+    const CampaignResult res =
+        run_campaign(micro_campaign_config(engine, false, 4));
+    ASSERT_EQ(res.records.size(), 2000u);
+    EXPECT_EQ(records_digest(res.records), 0x93cbe61a5fef0188ull)
+        << sim::engine_name(engine) << std::hex << ": got "
+        << records_digest(res.records);
+  }
+}
+
+TEST(KnownAnswerResumeTest, CheckpointedStreamDigestIsPinned) {
+  // CI's kill/resume reference run, uninterrupted: `micro_campaign 5000 2
+  // 23 --records-out B --checkpoint B.ckpt --checkpoint-every 200`.  A
+  // checkpointed run trades away dataset collection and with it
+  // transition detection; metrics stay on for the snapshot sidecar.
+  const std::string dir = ::testing::TempDir() + "known_answer_resume";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  CampaignConfig cfg;
+  cfg.injections = 5000;
+  cfg.shards = 2;
+  cfg.seed = 23;
+  cfg.collect_dataset = false;
+  cfg.xentry.transition_detection = false;
+  cfg.obs.metrics = true;
+  cfg.streaming.records_path = dir + "/ref";
+  cfg.streaming.checkpoint_path = dir + "/ref.ckpt";
+  cfg.streaming.checkpoint_every = 200;
+  const CampaignResult res = run_campaign(cfg);
+  std::filesystem::remove_all(dir);
+  ASSERT_FALSE(res.resumed);
+  ASSERT_EQ(res.records.size(), 5000u);
+  EXPECT_EQ(records_digest(res.records), 0xdfac96cc452761bbull)
+      << std::hex << "got " << records_digest(res.records);
+}
+
 TEST(CopyBudgetTest, WordsCopiedPerInjectionStayUnderBudget) {
   // Per injection the golden machine captures its pre-run state and the
   // faulty machine is realigned from it; with block-granular generations
   // both copy only the 64-word blocks the activations since the last sync
   // wrote (about 1,400 words here, against a ~5,000-word machine image).
-  CampaignConfig cfg = micro_campaign_config(sim::EngineKind::Fast, false);
+  CampaignConfig cfg = micro_campaign_config(sim::EngineKind::Jit, false);
   cfg.obs.metrics = true;
   const CampaignResult res = run_campaign(cfg);
   ASSERT_EQ(res.records.size(), 2000u);

@@ -279,11 +279,29 @@ TEST(MachineTest, AssertionCountingCountsRetiredAsserts) {
   Machine m;
   const Activation act =
       m.make_activation(ExitReason::hypercall(Hypercall::mmu_update), 2, 0);
+  std::vector<sim::Addr> trace;
   RunOptions opts;
-  opts.count_assertions = true;
+  opts.trace = &trace;
   RunResult res = m.run(act, opts);
   ASSERT_TRUE(res.reached_vm_entry);
-  EXPECT_GE(res.assertions_executed, 1u);  // the batch-bound assert
+  // Brute force: single-step the same activation and count every
+  // assertion instruction that begins executing.
+  Machine ref;
+  ref.begin_activation(act);
+  std::uint64_t stepped = 0;
+  for (;;) {
+    const sim::Addr rip = ref.cpu().reg(sim::Reg::rip);
+    stepped += sim::is_assertion(ref.microvisor().program.at(rip).op) ? 1 : 0;
+    if (ref.cpu().step().status != sim::StepInfo::Status::Ok) break;
+  }
+  EXPECT_GE(m.assertions_executed(trace, res), 1u);  // the batch-bound assert
+  EXPECT_EQ(m.assertions_executed(trace, res), stepped);
+
+  // A failing assertion traps before it retires, so it is not in the
+  // trace; the count still includes it.
+  RunResult failed;
+  failed.trap.kind = sim::TrapKind::AssertFailed;
+  EXPECT_EQ(m.assertions_executed(trace, failed), stepped + 1);
 }
 
 TEST(MachineTest, AssertionsDetectCorruptedIdleState) {

@@ -1,25 +1,30 @@
-// Differential harness: the mode-specialized fast engine and the
-// threaded-code superblock engine (src/sim/jit/) must both be bit-identical
-// to the single-step reference engine on every architectural observable —
-// final StepInfo, all 18 registers, retired step count, TSC, performance
-// counters, recorded trace, and memory contents — across randomly generated
-// programs, every trap path, and all eight trace/mask/shadow mode
-// combinations.  Also pins down macro-op fusion legality at basic-block
-// boundaries and the threaded engine's deopt edges: tight watchdog budgets,
-// mid-superblock indirect entry, and out-of-image control transfers.
+// Differential harness: the threaded-code superblock engine (src/sim/jit/)
+// must be bit-identical to the single-step reference engine on every
+// architectural observable — final StepInfo, all 18 registers, retired
+// step count, TSC, performance counters, recorded trace, and memory
+// contents — across randomly generated programs, every trap path, all
+// eight trace/mask/shadow mode combinations, and a register watch on each
+// of the 18 registers.  Also pins down compare+branch fusion at landing
+// sites and the threaded engine's deopt edges: tight watchdog budgets,
+// watch hits, mid-superblock indirect entry, and out-of-image control
+// transfers.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analysis/cfg.hpp"
 #include "analysis/superblocks.hpp"
 #include "sim/assembler.hpp"
 #include "sim/cpu.hpp"
+#include "sim/isa.hpp"
 #include "sim/jit/compiled_program.hpp"
 #include "sim/memory.hpp"
 
@@ -67,8 +72,9 @@ const Opcode kOpcodePool[] = {
 /// A random program over the full ISA.  Immediates for branches/calls land
 /// mostly inside the code image (including on and between fusable pairs),
 /// occasionally outside it (#PF paths); memory displacements mostly hit the
-/// data region.  Assembled through Program's constructor, so fusion
-/// metadata is computed exactly as for real workloads.
+/// data region.  Assembled through Program's constructor, so landing sites
+/// (and hence the CFG and superblocks) are computed exactly as for real
+/// workloads.
 Program random_program(std::mt19937_64& rng, std::size_t len) {
   std::uniform_int_distribution<std::size_t> pick_op(
       0, std::size(kOpcodePool) - 1);
@@ -98,7 +104,7 @@ Program random_program(std::mt19937_64& rng, std::size_t len) {
         break;
       case Opcode::MovRI:
         // Sometimes a data/code address (indirect-jump material, which
-        // also feeds the fusion landing set), sometimes a small scalar.
+        // also feeds the landing set), sometimes a small scalar.
         insn.imm = data_addr(rng)
                        ? static_cast<std::int64_t>(kCodeBase) + pick_target(rng)
                        : pick_imm(rng);
@@ -113,6 +119,7 @@ Program random_program(std::mt19937_64& rng, std::size_t len) {
 
 struct EngineState {
   StepInfo info;
+  std::vector<StepInfo> stops;  ///< register-watch stops, in order
   std::array<Word, kNumArchRegs> regs;
   std::uint64_t steps = 0;
   Word tsc = 0;
@@ -128,13 +135,31 @@ std::shared_ptr<const jit::CompiledProgram> compile_jit(const Program& prog) {
   return jit::compile(prog, analysis::form_superblocks(cfg, prog));
 }
 
+/// True when slot `off` of the threaded stream executes as the head of a
+/// fused compare+branch pair (the Fuse* tokens close the handler list).
+bool fused_head(const jit::CompiledProgram& cp, std::size_t off) {
+  return cp.ops[off].handler >=
+         static_cast<std::uint16_t>(jit::Handler::FuseCmpRRJe);
+}
+
+jit::Handler handler_at(const jit::CompiledProgram& cp, std::size_t off) {
+  return static_cast<jit::Handler>(cp.ops[off].handler);
+}
+
+/// Runs `prog` from `entry` (0: its base) on a fresh memory and register
+/// soup.  With a nonzero `watch`, the register watch is armed for the
+/// whole budget: every Ok stop is recorded, the watched instruction is
+/// single-stepped (as the injection path executes it), and the run
+/// resumes with the watch still armed — so each stop also re-enters the
+/// engine mid-stream.
 EngineState run_engine(
     const Program& prog, std::uint64_t seed, EngineKind kind,
     const std::shared_ptr<const jit::CompiledProgram>& compiled, bool trace,
-    bool masks, bool shadow, std::uint64_t max_steps) {
+    bool masks, bool shadow, std::uint64_t max_steps,
+    std::uint32_t watch = 0, Addr entry = 0) {
   Memory mem = make_memory();
   Cpu cpu(&prog, &mem);
-  cpu.reset(prog.base(), kStackTop);
+  cpu.reset(entry != 0 ? entry : prog.base(), kStackTop);
   cpu.set_tsc(seed & 0xffff);
   if (compiled != nullptr) cpu.set_compiled(compiled);
   cpu.set_engine(kind);
@@ -157,8 +182,26 @@ EngineState run_engine(
   if (trace) cpu.set_trace(&st.trace);
   if (shadow) cpu.enable_shadow_stack(kShadowOffset);
   cpu.counters().arm();
+  cpu.set_watch(watch);
 
-  st.info = cpu.run(max_steps);
+  std::uint64_t left = max_steps;
+  for (;;) {
+    const std::uint64_t before = cpu.steps_executed();
+    st.info = cpu.run(left);
+    left -= cpu.steps_executed() - before;
+    if (st.info.status != StepInfo::Status::Ok) break;
+    st.stops.push_back(st.info);
+    // A stop leaves budget for the watched instruction (the reference
+    // engine checks the budget first).
+    EXPECT_GT(left, 0u);
+    if (left == 0) break;
+    const StepInfo hit = cpu.step();
+    if (hit.status != StepInfo::Status::Ok) {
+      st.info = hit;
+      break;
+    }
+    --left;
+  }
   st.regs = cpu.regs();
   st.steps = cpu.steps_executed();
   st.tsc = cpu.tsc();
@@ -176,6 +219,12 @@ void expect_equivalent(const EngineState& a, const EngineState& b,
   EXPECT_EQ(a.info.rip_before, b.info.rip_before) << what;
   EXPECT_EQ(a.info.read_mask, b.info.read_mask) << what;
   EXPECT_EQ(a.info.written_mask, b.info.written_mask) << what;
+  EXPECT_EQ(a.stops.size(), b.stops.size()) << what;
+  for (std::size_t i = 0; i < std::min(a.stops.size(), b.stops.size()); ++i) {
+    EXPECT_EQ(a.stops[i].rip_before, b.stops[i].rip_before) << what;
+    EXPECT_EQ(a.stops[i].read_mask, b.stops[i].read_mask) << what;
+    EXPECT_EQ(a.stops[i].written_mask, b.stops[i].written_mask) << what;
+  }
   EXPECT_EQ(a.regs, b.regs) << what;
   EXPECT_EQ(a.steps, b.steps) << what;
   EXPECT_EQ(a.tsc, b.tsc) << what;
@@ -190,15 +239,15 @@ TEST(EngineEquivalenceTest, RandomProgramsAllModeCombinations) {
   for (int p = 0; p < 400; ++p) {
     const std::size_t len = 4 + (p % 60);
     const Program prog = random_program(rng, len);
-    for (std::size_t off = 0; off + 1 < prog.size(); ++off) {
-      if (prog.fused(off).fused) {
+    const std::uint64_t seed = rng();
+    const std::uint64_t max_steps = 1 + (seed % 300);
+    const auto compiled = compile_jit(prog);
+    for (std::size_t off = 0; off < prog.size(); ++off) {
+      if (fused_head(*compiled, off)) {
         ++fused_programs;
         break;
       }
     }
-    const std::uint64_t seed = rng();
-    const std::uint64_t max_steps = 1 + (seed % 300);
-    const auto compiled = compile_jit(prog);
     for (unsigned mode = 0; mode < 8; ++mode) {
       const bool trace = mode & 1, masks = mode & 2, shadow = mode & 4;
       const std::string what =
@@ -206,17 +255,13 @@ TEST(EngineEquivalenceTest, RandomProgramsAllModeCombinations) {
       const EngineState ref = run_engine(prog, seed, EngineKind::Reference,
                                          nullptr, trace, masks, shadow,
                                          max_steps);
-      const EngineState fast = run_engine(prog, seed, EngineKind::Fast,
-                                          nullptr, trace, masks, shadow,
-                                          max_steps);
       const EngineState threaded = run_engine(prog, seed, EngineKind::Jit,
                                               compiled, trace, masks, shadow,
                                               max_steps);
-      expect_equivalent(fast, ref, "fast: " + what);
       expect_equivalent(threaded, ref, "jit: " + what);
       if (mode == 0) {
-        if (fast.info.status == StepInfo::Status::Halted) ++halted;
-        else if (fast.info.trap.kind == TrapKind::Watchdog) ++watchdogged;
+        if (ref.info.status == StepInfo::Status::Halted) ++halted;
+        else if (ref.info.trap.kind == TrapKind::Watchdog) ++watchdogged;
         else ++trapped;
       }
     }
@@ -229,6 +274,147 @@ TEST(EngineEquivalenceTest, RandomProgramsAllModeCombinations) {
   EXPECT_GT(fused_programs, 100);
 }
 
+TEST(EngineEquivalenceTest, RegisterWatchMatchesReferenceOnEveryRegister) {
+  // The injection path's register watch, armed on each of the 18
+  // registers in turn: the threaded engine deopts at superblock entry
+  // when the rest of the superblock touches the watched register and
+  // single-steps to the touching instruction, and must stop exactly where
+  // the reference engine's per-step check stops — same stop rips and
+  // masks, then the same end state.  Budgets include the tight ones that
+  // force the watchdog deopt, and the generator's JmpR/Ret/corrupted
+  // targets enter superblocks mid-stream.
+  std::mt19937_64 rng(0x5eed0fa11u);
+  std::uint64_t stops = 0, watch_runs = 0;
+  for (int p = 0; p < 300; ++p) {
+    const std::size_t len = 4 + (p % 60);
+    const Program prog = random_program(rng, len);
+    const auto compiled = compile_jit(prog);
+    const std::uint64_t seed = rng();
+    for (int r = 0; r < kNumArchRegs; ++r) {
+      const std::uint32_t watch = reg_bit(static_cast<Reg>(r));
+      const unsigned mode = static_cast<unsigned>(p + r) % 8;
+      const bool trace = mode & 1, masks = mode & 2, shadow = mode & 4;
+      for (const std::uint64_t max_steps :
+           {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{2},
+            std::uint64_t{5}, 3 + (seed + static_cast<std::uint64_t>(r)) % 40,
+            1 + (seed >> 8) % 300}) {
+        const std::string what = "program " + std::to_string(p) + " reg " +
+                                 std::to_string(r) + " budget " +
+                                 std::to_string(max_steps);
+        const EngineState ref =
+            run_engine(prog, seed, EngineKind::Reference, nullptr, trace,
+                       masks, shadow, max_steps, watch);
+        const EngineState threaded =
+            run_engine(prog, seed, EngineKind::Jit, compiled, trace, masks,
+                       shadow, max_steps, watch);
+        expect_equivalent(threaded, ref, "jit watch: " + what);
+        stops += ref.stops.size();
+        ++watch_runs;
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  // Random programs often trap within a few steps; a good share of the
+  // watched runs must still stop on the watch at least once.
+  EXPECT_GT(stops, watch_runs / 4);
+}
+
+TEST(EngineEquivalenceTest, WatchStopsBeforeTouchingInstructionMidSuperblock) {
+  // One straight-line superblock entered in the middle by an indirect
+  // jump; the watched register is first touched three ops after the
+  // landing site.  Both engines stop there with rip on the touching op,
+  // having retired exactly the ops in between.
+  Assembler as(kCodeBase);
+  as.movi(Reg::rcx, kCodeBase + 4);  // 0
+  as.jmp_reg(Reg::rcx);              // 1
+  as.inc(Reg::rax);                  // 2 (skipped)
+  as.inc(Reg::rax);                  // 3 (skipped)
+  as.inc(Reg::rax);                  // 4: landing site
+  as.inc(Reg::rax);                  // 5
+  as.mov(Reg::rdx, Reg::r12);        // 6: reads r12
+  as.inc(Reg::rax);                  // 7
+  as.hlt();                          // 8
+  const Program prog = as.finish();
+  const auto compiled = compile_jit(prog);
+  ASSERT_NE(compiled->ops[4].sb_regs & reg_bit(Reg::r12), 0u);
+
+  const std::uint32_t watch = reg_bit(Reg::r12);
+  for (const EngineKind kind : {EngineKind::Reference, EngineKind::Jit}) {
+    Memory mem = make_memory();
+    Cpu cpu(&prog, &mem);
+    cpu.reset(prog.base(), kStackTop);
+    cpu.set_compiled(kind == EngineKind::Jit ? compiled : nullptr);
+    cpu.set_engine(kind);
+    std::vector<Addr> trace;
+    cpu.set_trace(&trace);
+    cpu.set_watch(watch);
+    const StepInfo stop = cpu.run(100);
+    const std::string what(engine_name(kind));
+    EXPECT_EQ(stop.status, StepInfo::Status::Ok) << what;
+    EXPECT_EQ(stop.rip_before, kCodeBase + 6) << what;
+    EXPECT_EQ(stop.read_mask, reg_bit(Reg::r12)) << what;
+    EXPECT_EQ(stop.written_mask, reg_bit(Reg::rdx)) << what;
+    EXPECT_EQ(cpu.reg(Reg::rip), kCodeBase + 6) << what;
+    EXPECT_EQ(cpu.steps_executed(), 4u) << what;
+    const std::vector<Addr> want = {kCodeBase, kCodeBase + 1, kCodeBase + 4,
+                                    kCodeBase + 5};
+    EXPECT_EQ(trace, want) << what;
+    // With the watch cleared the run finishes normally.
+    cpu.set_watch(0);
+    EXPECT_EQ(cpu.run(100).status, StepInfo::Status::Halted) << what;
+    EXPECT_EQ(cpu.steps_executed(), 6u) << what;
+  }
+}
+
+TEST(EngineEquivalenceTest, CompiledSuperblockRegsAreSuffixUnions) {
+  // OpEntry::sb_regs must equal the brute-force union of every later op's
+  // static read and write sets up to the end of its superblock (and be 0
+  // on the off-the-end sentinel): the watch check at superblock entry is
+  // only sound if no touching op hides behind it.
+  std::mt19937_64 rng(0xc0ffee);
+  for (int p = 0; p < 200; ++p) {
+    const Program prog = random_program(rng, 4 + (p % 60));
+    const auto compiled = compile_jit(prog);
+    for (const jit::Superblock& sb : compiled->superblocks) {
+      for (std::uint32_t i = sb.first; i <= sb.last; ++i) {
+        std::uint32_t want = 0;
+        for (std::uint32_t j = i; j <= sb.last; ++j) {
+          const Instruction& insn = prog.at(prog.base() + j);
+          want |= regs_read(insn) | regs_written(insn);
+        }
+        ASSERT_EQ(compiled->ops[i].sb_regs, want)
+            << "program " << p << " slot " << i;
+      }
+    }
+    EXPECT_EQ(compiled->ops[prog.size()].sb_regs, 0u);
+  }
+}
+
+/// Runs `prog` on the bare threaded engine (no register soup) and checks
+/// it against the reference engine from the same clean state.
+EngineState run_clean(const Program& prog,
+                      const std::shared_ptr<const jit::CompiledProgram>& cp,
+                      Addr entry, std::uint64_t max_steps = 100) {
+  EngineState st[2];
+  for (int k = 0; k < 2; ++k) {
+    Memory mem = make_memory();
+    Cpu cpu(&prog, &mem);
+    cpu.reset(entry, kStackTop);
+    if (k == 1) cpu.set_compiled(cp);
+    cpu.set_engine(k == 1 ? EngineKind::Jit : EngineKind::Reference);
+    cpu.set_trace(&st[k].trace);
+    cpu.counters().arm();
+    st[k].info = cpu.run(max_steps);
+    st[k].regs = cpu.regs();
+    st[k].steps = cpu.steps_executed();
+    st[k].tsc = cpu.tsc();
+    st[k].counters = cpu.counters().disarm();
+    st[k].memory = mem.snapshot();
+  }
+  expect_equivalent(st[1], st[0], "clean run");
+  return st[1];
+}
+
 TEST(EngineEquivalenceTest, FusedPairRetiresAsTwoInstructions) {
   Assembler as(kCodeBase);
   as.movi(Reg::rax, 5);
@@ -239,63 +425,79 @@ TEST(EngineEquivalenceTest, FusedPairRetiresAsTwoInstructions) {
   as.bind(out);
   as.hlt();
   const Program prog = as.finish();
-  ASSERT_TRUE(prog.fused(1).fused);
-  EXPECT_EQ(prog.fused(1).jcc, Opcode::Je);
+  const auto compiled = compile_jit(prog);
+  ASSERT_EQ(handler_at(*compiled, 1), jit::Handler::FuseCmpRIJe);
+  EXPECT_EQ(handler_at(*compiled, 2), jit::Handler::Je);
 
-  Memory mem = make_memory();
-  Cpu cpu(&prog, &mem);
-  cpu.reset(prog.base(), kStackTop);
-  std::vector<Addr> trace;
-  cpu.set_trace(&trace);
-  cpu.counters().arm();
-  ASSERT_EQ(cpu.run(100).status, StepInfo::Status::Halted);
-
+  const EngineState st = run_clean(prog, compiled, prog.base());
+  ASSERT_EQ(st.info.status, StepInfo::Status::Halted);
   // movi + cmp + je retire; the pair contributes two trace entries, two
   // retired instructions (one branch), and two TSC ticks.
-  EXPECT_EQ(cpu.steps_executed(), 3u);
-  EXPECT_EQ(cpu.tsc(), 3 * kTscPerStep);
-  const PerfSnapshot counters = cpu.counters().disarm();
-  EXPECT_EQ(counters.inst_retired, 3u);
-  EXPECT_EQ(counters.branches, 1u);
+  EXPECT_EQ(st.steps, 3u);
+  EXPECT_EQ(st.tsc, 3 * kTscPerStep);
+  EXPECT_EQ(st.counters.inst_retired, 3u);
+  EXPECT_EQ(st.counters.branches, 1u);
   const std::vector<Addr> want = {kCodeBase, kCodeBase + 1, kCodeBase + 2};
-  EXPECT_EQ(trace, want);
-  EXPECT_EQ(cpu.reg(Reg::rbx), 0u);  // the not-taken slot was skipped
+  EXPECT_EQ(st.trace, want);
+  EXPECT_EQ(st.regs[static_cast<std::size_t>(Reg::rbx)], 0u);  // skipped
 }
 
 TEST(EngineEquivalenceTest, JumpTargetBetweenPairBlocksFusion) {
-  // A branch landing directly on the Jcc slot means control flow can enter
-  // between head and tail: the pair must not fuse.
+  // A branch landing directly on the Jcc slot enters between head and
+  // tail.  The threaded stream fuses only the fall-through edge: the tail
+  // slot keeps its plain token, so the landing executes the bare Jcc.
   Assembler as(kCodeBase);
   const auto jcc_slot = as.make_label();
   const auto end = as.make_label();
-  as.movi(Reg::rax, 1);
-  as.cmpi(Reg::rax, 1);  // head (slot 1)
+  as.movi(Reg::rax, 1);  // 0
+  as.cmpi(Reg::rax, 2);  // 1: head (ZF clear)
   as.bind(jcc_slot);
-  as.je(end);  // tail (slot 2) — also a landing point
-  as.jmp(jcc_slot);
+  as.je(end);            // 2: tail — also a landing point; not taken
+  as.cmpi(Reg::rax, 1);  // 3: ZF set
+  as.jmp(jcc_slot);      // 4: lands on the tail, which is now taken
   as.bind(end);
-  as.hlt();
+  as.hlt();              // 5
   const Program prog = as.finish();
-  EXPECT_FALSE(prog.fused(1).fused);
+  const auto compiled = compile_jit(prog);
+  EXPECT_TRUE(fused_head(*compiled, 1));
+  EXPECT_EQ(handler_at(*compiled, 2), jit::Handler::Je);
+
+  const EngineState st = run_clean(prog, compiled, prog.base());
+  EXPECT_EQ(st.info.status, StepInfo::Status::Halted);
+  const std::vector<Addr> want = {kCodeBase,     kCodeBase + 1, kCodeBase + 2,
+                                  kCodeBase + 3, kCodeBase + 4, kCodeBase + 2};
+  EXPECT_EQ(st.trace, want);
 }
 
 TEST(EngineEquivalenceTest, MovRIOfCodeAddressBlocksFusion) {
-  // MovRI of a label is indirect-jump material: if the loaded address is
-  // the Jcc slot, a JmpR may land between the pair, so fusion is illegal.
+  // MovRI of a label is indirect-jump material: a JmpR through it lands
+  // between the pair and must execute the bare Jcc.
   Assembler as(kCodeBase);
   const auto tail = as.make_label();
   const auto end = as.make_label();
-  as.movi(Reg::rcx, tail);  // rcx = address of the je below
-  as.cmpi(Reg::rax, 0);     // head (slot 1)
+  as.movi(Reg::rax, 1);     // 0
+  as.movi(Reg::rcx, tail);  // 1: rcx = address of the je below
+  as.cmpi(Reg::rax, 0);     // 2: head (ZF clear)
   as.bind(tail);
-  as.je(end);  // tail (slot 2)
+  as.je(end);               // 3: tail; not taken on the fall-through
+  as.cmpi(Reg::rax, 1);     // 4: ZF set
+  as.jmp_reg(Reg::rcx);     // 5: lands on the tail, which is now taken
   as.bind(end);
-  as.hlt();
+  as.hlt();                 // 6
   const Program prog = as.finish();
-  EXPECT_FALSE(prog.fused(1).fused);
+  const auto compiled = compile_jit(prog);
+  EXPECT_TRUE(fused_head(*compiled, 2));
+  EXPECT_EQ(handler_at(*compiled, 3), jit::Handler::Je);
+
+  const EngineState st = run_clean(prog, compiled, prog.base());
+  EXPECT_EQ(st.info.status, StepInfo::Status::Halted);
+  EXPECT_EQ(st.trace.back(), kCodeBase + 3);
+  EXPECT_EQ(st.steps, 7u);
 }
 
 TEST(EngineEquivalenceTest, SymbolOnTailBlocksFusion) {
+  // Dispatch can enter at a symbol placed right on the tail: that entry
+  // executes the bare Jcc on whatever flags it finds.
   Assembler as(kCodeBase);
   const auto end = as.make_label();
   as.cmpi(Reg::rax, 0);  // head (slot 0)
@@ -304,63 +506,74 @@ TEST(EngineEquivalenceTest, SymbolOnTailBlocksFusion) {
   as.bind(end);
   as.hlt();
   const Program prog = as.finish();
-  EXPECT_FALSE(prog.fused(0).fused);
+  const auto compiled = compile_jit(prog);
+  EXPECT_TRUE(fused_head(*compiled, 0));
+  EXPECT_EQ(handler_at(*compiled, 1), jit::Handler::Je);
+
+  const EngineState st = run_clean(prog, compiled, prog.symbol("entry2"));
+  EXPECT_EQ(st.info.status, StepInfo::Status::Halted);
+  const std::vector<Addr> want = {kCodeBase + 1};
+  EXPECT_EQ(st.trace, want);
 }
 
 TEST(EngineEquivalenceTest, CallReturnSiteLandsOnHeadNotTail) {
   // A call's return site is the slot right after it.  When that slot is a
   // fusable pair's *head*, control entering there still executes both
-  // instructions of the pair — fusion stays legal.  (A return site can
+  // instructions of the pair through the fused token.  (A return site can
   // never be a pair's tail: that would put the call in the head slot, and
-  // a call is not a fusable head.)
+  // a call is not a compare.)
   Assembler as(kCodeBase);
   const auto skip = as.make_label();
+  const auto done = as.make_label();
   as.jmp(skip);
   as.global("leaf");
   as.ret();
   as.bind(skip);
   as.call("leaf");       // slot 2; return site is slot 3
   as.cmpi(Reg::rax, 0);  // slot 3: head, and a landing point
-  as.je(skip);           // slot 4: tail, not a landing point
+  as.je(done);           // slot 4: tail, not a landing point
+  as.bind(done);
   as.hlt();
   const Program prog = as.finish();
-  EXPECT_TRUE(prog.fused(3).fused);
+  const auto compiled = compile_jit(prog);
+  EXPECT_TRUE(fused_head(*compiled, 3));
+
+  const EngineState st = run_clean(prog, compiled, prog.base());
+  EXPECT_EQ(st.info.status, StepInfo::Status::Halted);
+  EXPECT_EQ(st.steps, 5u);
 }
 
 TEST(EngineEquivalenceTest, WatchdogBoundarySplitsFusedPair) {
-  // max_steps expiring between head and tail: the fast loop must execute
-  // the head alone and then watchdog, exactly like the reference engine.
-  // test rax,0 sets ZF for any rax, so the loop never exits.
+  // max_steps expiring between head and tail: the threaded engine must
+  // execute the head alone and then watchdog, exactly like the reference
+  // engine.  test rax,0 sets ZF for any rax, so the loop never exits.
   Assembler as(kCodeBase);
   const auto loop = as.here();
   as.testi(Reg::rax, 0);
   as.je(loop);
   as.hlt();
   const Program prog = as.finish();
-  ASSERT_TRUE(prog.fused(0).fused);
-
   const auto compiled = compile_jit(prog);
+  ASSERT_EQ(handler_at(*compiled, 0), jit::Handler::FuseTestRIJe);
+
   for (std::uint64_t max_steps = 1; max_steps <= 5; ++max_steps) {
     const EngineState ref = run_engine(prog, 42, EngineKind::Reference,
                                        nullptr, true, true, false, max_steps);
-    const EngineState fast = run_engine(prog, 42, EngineKind::Fast, nullptr,
-                                        true, true, false, max_steps);
     const EngineState threaded = run_engine(prog, 42, EngineKind::Jit,
                                             compiled, true, true, false,
                                             max_steps);
-    expect_equivalent(fast, ref, "fast max_steps " + std::to_string(max_steps));
     expect_equivalent(threaded, ref,
                       "jit max_steps " + std::to_string(max_steps));
-    EXPECT_EQ(fast.info.trap.kind, TrapKind::Watchdog);
-    EXPECT_EQ(fast.steps, max_steps);
+    EXPECT_EQ(threaded.info.trap.kind, TrapKind::Watchdog);
+    EXPECT_EQ(threaded.steps, max_steps);
   }
 }
 
 TEST(EngineEquivalenceTest, JitDeoptsAtEveryTightWatchdogBudget) {
   // A long straight-line superblock ending in a backedge: every budget
   // from 0 (immediate watchdog) up past one full iteration forces the
-  // threaded engine's sb_remaining check to deopt to the interpreter at a
-  // different interior op.  All budgets must stay bit-identical to the
+  // threaded engine's sb_remaining check to deopt to the reference engine
+  // at a different interior op.  All budgets must stay bit-identical to the
   // reference engine, including counters and the recorded trace.
   Assembler as(kCodeBase);
   const auto loop = as.here();
@@ -457,7 +670,7 @@ TEST(EngineEquivalenceTest, JitOutOfImageControlTransfers) {
   }
 }
 
-TEST(EngineEquivalenceTest, JitWithoutCompiledProgramFallsBackToFast) {
+TEST(EngineEquivalenceTest, JitWithoutCompiledProgramFallsBackToReference) {
   Assembler as(kCodeBase);
   as.movi(Reg::rax, 7);
   as.inc(Reg::rax);
