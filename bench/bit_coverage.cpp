@@ -10,7 +10,9 @@
 // densely samples predicted-masked points along each golden trace with a
 // deterministic SplitMix stream, injects each one for real, and asserts
 // the run is indistinguishable from golden (consequence Masked, no
-// detection, no trap, no control-flow divergence).
+// detection, no trap, no control-flow divergence).  Both machines run the
+// reference engine, so every such run is executed, never decided from
+// the golden probe.
 //
 // Output is one JSON object with a per-config breakdown; the process
 // exits non-zero when any configuration's empirical masked fraction
@@ -65,8 +67,13 @@ ConfigScore run_config(const hv::MicrovisorOptions& opt, int samples,
   const analysis::VulnerabilityMap& map = art.vuln;
   score.masked_fraction = map.masked_fraction();
 
+  // The reference engine executes every faulted run: on the jit, run_one
+  // would decide the flips the golden trace never reads from the golden
+  // probe, and this gate exists to check such claims against execution.
   hv::Machine golden(opt);
   hv::Machine faulty(opt);
+  golden.set_execution_engine(sim::EngineKind::Reference);
+  faulty.set_execution_engine(sim::EngineKind::Reference);
   Xentry xentry(XentryConfig{});
   fault::InjectionExperiment experiment(golden, faulty, xentry,
                                         fault::OutcomeModel{});

@@ -236,6 +236,8 @@ struct CampaignMetricHandles {
   obs::Counter* blackbox_dumps = nullptr;
   /// Importance sampling only: slots resolved without a faulted run.
   obs::Counter* analytic_slots = nullptr;
+  /// Faulted runs decided from the golden probe instead of executed.
+  obs::Counter* probe_decided = nullptr;
   // Forensics (null unless obs.forensics && obs.metrics).
   obs::Counter* forensics_replays = nullptr;
   obs::Counter* forensics_replay_steps = nullptr;
@@ -362,6 +364,7 @@ CampaignResult run_shard(
     cm.detected = &result.metrics.counter("campaign.detected");
     cm.golden_steps = &result.metrics.counter("campaign.golden_steps");
     cm.blackbox_dumps = &result.metrics.counter("campaign.blackbox_dumps");
+    cm.probe_decided = &result.metrics.counter("campaign.probe_decided");
     if (cfg.sampling.importance) {
       cm.analytic_slots = &result.metrics.counter("campaign.analytic_slots");
     }
@@ -596,6 +599,7 @@ CampaignResult run_shard(
         cm.injections->inc();
         cm.golden_steps->inc(probe.steps);
         if (rec.activated) cm.activated->inc();
+        if (r.probe_decided) cm.probe_decided->inc();
         if (is_manifested(rec.consequence)) cm.manifested->inc();
         if (rec.detected) cm.detected->inc();
         if (!rec.blackbox.empty()) cm.blackbox_dumps->inc();

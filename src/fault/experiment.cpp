@@ -54,6 +54,32 @@ void InjectionExperiment::probe_golden_advance(
   probe.steps = res.steps;
   probe.counters = res.counters;
   probe.reached_vm_entry = res.reached_vm_entry;
+  probe.final_regs = golden_.cpu().regs();
+}
+
+InjectionExperiment::FlipFate InjectionExperiment::flip_fate(
+    const sim::Program& program, const std::vector<sim::Addr>& trace,
+    std::uint64_t at_step, sim::Addr pending_rip, sim::Reg reg) {
+  const std::uint32_t bit = sim::reg_bit(reg);
+  // The register watch's order: an instruction that both reads and writes
+  // the register reads it first.
+  const auto touch = [&](sim::Addr rip, FlipFate& fate) {
+    const sim::Instruction& insn = program.at(rip);
+    if ((sim::regs_read(insn) & bit) != 0) {
+      fate = FlipFate::Read;
+    } else if ((sim::regs_written(insn) & bit) != 0) {
+      fate = FlipFate::Overwritten;
+    } else {
+      return false;
+    }
+    return true;
+  };
+  FlipFate fate = FlipFate::Untouched;
+  for (std::size_t i = at_step; i < trace.size(); ++i) {
+    if (touch(trace[i], fate)) return fate;
+  }
+  if (program.contains(pending_rip)) touch(pending_rip, fate);
+  return fate;
 }
 
 hv::Injection InjectionExperiment::draw_activated_injection(
@@ -109,26 +135,44 @@ InjectionExperiment::Result InjectionExperiment::run_faulted(
   rec.injection = injection;
 
   // The golden run already happened (probe); the golden machine sits at
-  // its post-run state.  Align the faulted machine with the pre-run state.
-  faulty_.restore(probe.pre);
+  // its post-run state.
   out.golden_ok = probe.reached_vm_entry;
   out.golden_features =
       FeatureVector::from(activation.reason, probe.counters);
   last_golden_steps_ = probe.steps;
 
-  // Faulted run under Xentry interception.
-  fault_trace_.clear();
-  hv::RunOptions fopts;
-  fopts.trace = &fault_trace_;
-  fopts.injection = &injection;
-  const Observation obs = xentry_.observe(faulty_, activation, fopts);
+  // A flip the golden run never reads decides the faulted run (run_one);
+  // the reference engine stays an executing oracle.
+  FlipFate fate = FlipFate::Read;
+  if (faulty_.cpu().engine() == sim::EngineKind::Jit &&
+      probe.reached_vm_entry && injection.reg != sim::Reg::rip &&
+      injection.at_step <= probe.steps) {
+    const sim::Addr gate =
+        probe.final_regs[static_cast<std::size_t>(sim::Reg::rip)];
+    fate = flip_fate(golden_.microvisor().program, probe.trace,
+                     injection.at_step, gate, injection.reg);
+  }
+  Observation obs;
+  if (fate != FlipFate::Read) {
+    obs = judge_from_probe(activation, injection, probe, fate);
+    out.probe_decided = true;
+  } else {
+    // Faulted run under Xentry interception, from the golden pre-run
+    // state.
+    faulty_.restore(probe.pre);
+    fault_trace_.clear();
+    hv::RunOptions fopts;
+    fopts.trace = &fault_trace_;
+    fopts.injection = &injection;
+    obs = xentry_.observe(faulty_, activation, fopts);
+    rec.trace_diverged = fault_trace_ != probe.trace;
+  }
 
   rec.injected = obs.run.injected;
   rec.activated = obs.run.activated;
   rec.features = obs.features;
   rec.trap = obs.run.trap.kind;
   rec.assert_id = obs.run.trap.aux;
-  rec.trace_diverged = fault_trace_ != probe.trace;
 
   if (!rec.activated) {
     // Non-activated faults never affect correctness (Section V-B).
@@ -180,6 +224,27 @@ InjectionExperiment::Result InjectionExperiment::run_faulted(
     if (sampled) run_forensics(rec, activation, injection, probe);
   }
   return out;
+}
+
+Observation InjectionExperiment::judge_from_probe(
+    const hv::Activation& activation, const hv::Injection& injection,
+    const GoldenProbe& probe, FlipFate fate) {
+  // The faulted run retires the golden trace and stops at the same gate:
+  // same steps, the same counters when Xentry arms them, and the golden
+  // final registers, with the flip still in them when nothing overwrote
+  // it.
+  hv::RunResult run;
+  run.reached_vm_entry = true;
+  run.steps = probe.steps;
+  run.injected = true;
+  if (xentry_.arms_counters()) run.counters = probe.counters;
+  faulty_.record_exit(activation, run);
+  std::array<sim::Word, sim::kNumArchRegs> regs = probe.final_regs;
+  if (fate == FlipFate::Untouched) {
+    regs[static_cast<std::size_t>(injection.reg)] ^= sim::Word{1}
+                                                     << injection.bit;
+  }
+  return xentry_.judge(faulty_, activation, run, &probe.trace, regs);
 }
 
 void InjectionExperiment::run_forensics(InjectionRecord& rec,

@@ -8,7 +8,9 @@
 // verdicts from the Xentry framework.
 #pragma once
 
+#include <array>
 #include <random>
+#include <vector>
 
 #include "fault/lockstep.hpp"
 #include "fault/outcome.hpp"
@@ -71,7 +73,25 @@ class InjectionExperiment {
     InjectionRecord record;
     FeatureVector golden_features;  ///< a labelled-correct training sample
     bool golden_ok = false;  ///< golden run reached VM entry (sanity)
+    /// The faulted run was decided from the golden probe, not executed
+    /// (see run_one).
+    bool probe_decided = false;
   };
+
+  /// What happens to a flipped register (never rip) over the rest of a
+  /// clean run, by the static regs_read / regs_written masks the register
+  /// watch uses: the first instruction that touches it either reads it
+  /// (the flip activates) or only overwrites it, or none does.
+  enum class FlipFate : std::uint8_t { Read, Overwritten, Untouched };
+
+  /// The fate of a flip of `reg` applied before dynamic instruction
+  /// `at_step` of a clean run that retired `trace` and then stopped with
+  /// `pending_rip` still to execute: the retired instructions from
+  /// `at_step` on are checked in order, then the pending one.
+  static FlipFate flip_fate(const sim::Program& program,
+                            const std::vector<sim::Addr>& trace,
+                            std::uint64_t at_step, sim::Addr pending_rip,
+                            sim::Reg reg);
 
   /// Everything one clean execution of an activation yields: dynamic
   /// length, control-flow trace, the Table I counters, whether VM entry
@@ -82,26 +102,40 @@ class InjectionExperiment {
     std::vector<sim::Addr> trace;
     sim::PerfSnapshot counters;
     bool reached_vm_entry = false;
+    /// Register file at the end of the run (rip at the hlt gate when the
+    /// run reached VM entry).
+    std::array<sim::Word, sim::kNumArchRegs> final_regs{};
     /// Golden machine state immediately before the run (buffers are
     /// reused across probes of the same machine).
     hv::Machine::Snapshot pre;
   };
 
   /// Runs one experiment.  The golden machine runs from its current
-  /// state; the faulty machine is first realigned to that same pre-run
-  /// state (whatever it held before is irrelevant).  Both end in their
-  /// respective post-run states, so a stream of calls naturally advances
-  /// along the golden path.
+  /// state and ends in its post-run state, so a stream of calls advances
+  /// along the golden path.  The faulted run usually executes on the
+  /// faulty machine, realigned to the same pre-run state first (whatever
+  /// it held before is irrelevant) and left in its post-run state.
+  ///
+  /// On the jit engine the golden run decides some faulted runs instead
+  /// (Result::probe_decided): when the golden run reached VM entry, the
+  /// flip is not in rip, `at_step` is at most the golden steps, and
+  /// flip_fate over the golden trace is not Read.  Such a flip never
+  /// activates, so the record is Masked (Section V-B), and the run it
+  /// would have made is the golden run, with the flip still in the final
+  /// registers when nothing overwrote it.  That run is judged by
+  /// Xentry::judge and the faulty machine's flight-recorder frame is
+  /// appended, so the Result equals the executed one field by field.
+  /// The faulty machine is left untouched.  The reference engine
+  /// executes every faulted run.
   Result run_one(const hv::Activation& activation,
                  const hv::Injection& injection);
 
-  /// Golden-run-reuse fast path: runs only the faulted machine, taking the
-  /// golden run's trace/counters/steps from `probe` (which must come from
-  /// probe_golden_advance with the same activation — its run IS this
+  /// Golden-run-reuse fast path: as above, but the golden run's
+  /// trace/counters/steps/registers come from `probe` (which must come
+  /// from probe_golden_advance with the same activation — its run IS this
   /// experiment's golden run, and the golden machine is already at its
-  /// post-run state).  The faulty machine is realigned from `probe.pre`
-  /// first.  Halves golden executions per injection versus probe_golden +
-  /// run_one, with bit-identical results.
+  /// post-run state).  Halves golden executions per injection versus
+  /// probe_golden + run_one, with bit-identical results.
   Result run_one(const hv::Activation& activation,
                  const hv::Injection& injection, const GoldenProbe& probe);
 
@@ -159,6 +193,9 @@ class InjectionExperiment {
   Result run_faulted(const hv::Activation& activation,
                      const hv::Injection& injection,
                      const GoldenProbe& probe);
+  Observation judge_from_probe(const hv::Activation& activation,
+                               const hv::Injection& injection,
+                               const GoldenProbe& probe, FlipFate fate);
   std::vector<hv::StateDiff> consumed_diffs(
       const std::vector<hv::StateDiff>& diffs, const hv::Activation& act,
       const hv::Injection& inj) const;

@@ -91,6 +91,13 @@ class Machine {
   /// Runs one hypervisor activation to VM entry (or to a trap).
   RunResult run(const Activation& activation, const RunOptions& opts = {});
 
+  /// Appends the flight-recorder frame run() appends after a run of
+  /// `activation` that ended in `result` (no-op without a flight
+  /// recorder attached).  For callers that know a run's result without
+  /// executing it: fault::InjectionExperiment's probe-decided faulted
+  /// runs.  Per-VM-exit trace spans are not emitted for such runs.
+  void record_exit(const Activation& activation, const RunResult& result);
+
   /// Assertion instructions a run executed, from its retired-rip `trace`
   /// (RunOptions::trace, cleared before the run): the assertions that
   /// retired, plus the one that failed when the run ended on a failed

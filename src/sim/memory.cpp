@@ -36,6 +36,7 @@ Memory::Memory() : id_(next_memory_id()) {}
 
 Memory::Memory(const Memory& other)
     : regions_(other.regions_),
+      page_region_(other.page_region_),
       sync_(other.sync_),
       id_(next_memory_id()),
       hint_(other.hint_),
@@ -44,6 +45,7 @@ Memory::Memory(const Memory& other)
 Memory& Memory::operator=(const Memory& other) {
   if (this != &other) {
     regions_ = other.regions_;
+    page_region_ = other.page_region_;
     sync_ = other.sync_;
     hint_ = other.hint_;
     hint2_ = other.hint2_;
@@ -77,28 +79,58 @@ std::size_t Memory::map(Addr base, Addr size, Perm perm, std::string name) {
   const std::size_t idx = static_cast<std::size_t>(it - regions_.begin());
   sync_.insert(sync_.begin() + static_cast<std::ptrdiff_t>(idx), SyncState{});
   hint_ = idx;
+  // The insert shifted the index of every region above the new one.
+  rebuild_page_table();
   return idx;
 }
 
-const Memory::Region* Memory::find(Addr a) const {
-  // Straight-line code hits the same region on almost every access; try
-  // the two last-hit regions before falling back to the binary search.
-  if (hint_ < regions_.size() && regions_[hint_].contains(a)) {
-    return &regions_[hint_];
+void Memory::rebuild_page_table() {
+  Addr pages = 0;
+  for (const Region& r : regions_) {
+    const Addr last_page = (r.base + (r.size - 1)) >> kPageShift;
+    if (last_page < kMaxTablePages) pages = std::max(pages, last_page + 1);
   }
-  if (hint2_ < regions_.size() && regions_[hint2_].contains(a)) {
-    return &regions_[hint2_];
+  page_region_.assign(static_cast<std::size_t>(pages), kPageUnmapped);
+  for (std::size_t i = 0; i < regions_.size(); ++i) {
+    const Region& r = regions_[i];
+    const Addr first = r.base >> kPageShift;
+    if (first >= pages) continue;  // past the table
+    const Addr last = std::min((r.base + (r.size - 1)) >> kPageShift,
+                               pages - 1);
+    for (Addr p = first; p <= last; ++p) {
+      std::uint8_t& e = page_region_[static_cast<std::size_t>(p)];
+      e = e == kPageUnmapped && i < kPageShared ? static_cast<std::uint8_t>(i)
+                                                : kPageShared;
+    }
   }
+}
+
+const Memory::Region* Memory::search(Addr a) const {
   // Regions are sorted by base; find the last region with base <= a.
   auto it = std::upper_bound(
       regions_.begin(), regions_.end(), a,
       [](Addr x, const Region& r) { return x < r.base; });
   if (it == regions_.begin()) return nullptr;
   --it;
-  if (!it->contains(a)) return nullptr;
-  hint2_ = hint_;
-  hint_ = static_cast<std::size_t>(it - regions_.begin());
-  return &*it;
+  return it->contains(a) ? &*it : nullptr;
+}
+
+const Memory::Region* Memory::find(Addr a) const {
+  // An address past the table is searched like one on a shared page.
+  const Addr page = a >> kPageShift;
+  const std::uint8_t e = page < page_region_.size()
+                             ? page_region_[static_cast<std::size_t>(page)]
+                             : kPageShared;
+  if (e == kPageUnmapped) return nullptr;
+  const Region* r = e == kPageShared ? search(a) : &regions_[e];
+  if (r == nullptr || !r->contains(a)) return nullptr;
+  // Keep the inline read/write fast paths pointed at the recent regions.
+  const std::size_t idx = static_cast<std::size_t>(r - regions_.data());
+  if (idx != hint_) {
+    hint2_ = hint_;
+    hint_ = idx;
+  }
+  return r;
 }
 
 Memory::Region* Memory::find(Addr a) {

@@ -15,7 +15,9 @@
 //     mutation, so snapshot capture and restore copy only the blocks that
 //     provably changed since the last capture/sync (see Snapshot);
 //   - read/write cache the last-hit region index, since straight-line
-//     code touches the same region on almost every consecutive access.
+//     code touches the same region on almost every consecutive access;
+//     every other lookup (the engines' software-TLB refills, the host-side
+//     poke/peek/poke_span) is one load from a page-to-region byte table.
 #pragma once
 
 #include <cstdint>
@@ -104,8 +106,12 @@ class Memory {
   Memory(Memory&&) = default;
   Memory& operator=(Memory&&) = default;
 
+  /// log2 of the page size (in words) of the region lookup table.
+  static constexpr unsigned kPageShift = 12;
+
   /// Maps a region.  Regions must not overlap; they are kept sorted by base.
-  /// Returns the region index, which stays stable for the Memory lifetime.
+  /// Returns the region index, which stays stable until the next map().
+  /// Rebuilds the page-to-region lookup table.
   std::size_t map(Addr base, Addr size, Perm perm, std::string name);
 
   /// Reads the word at `a` into `out`.  Returns a Trap (kind None on
@@ -253,14 +259,27 @@ class Memory {
     std::vector<std::uint64_t> source_block_gen;
   };
 
+  /// Page-table entries that are not a region index.
+  static constexpr std::uint8_t kPageUnmapped = 0xff;
+  static constexpr std::uint8_t kPageShared = 0xfe;  ///< binary search
+  /// Pages covered by the table at most (1 MiB of entries): a region past
+  /// it is found by binary search, like an address on a shared page.
+  static constexpr Addr kMaxTablePages = Addr{1} << 20;
+
+  void rebuild_page_table();
   const Region* find(Addr a) const;
   Region* find(Addr a);
+  const Region* search(Addr a) const;
   Trap read_slow(Addr a, Word& out) const;
   Trap write_slow(Addr a, Word v);
   Word peek_slow(Addr a) const;
   void poke_slow(Addr a, Word v);
 
   std::vector<Region> regions_;  // sorted by base
+  /// Page number -> index of the one region mapping words on that page,
+  /// kPageUnmapped when none does, kPageShared when two do (or the index
+  /// does not fit a byte).  Covers pages [0, size()).
+  std::vector<std::uint8_t> page_region_;
   std::vector<SyncState> sync_;  // parallel to regions_
   std::uint64_t id_ = 0;         ///< unique per instance (and per copy)
   mutable std::size_t hint_ = 0;  ///< last-hit region index (locality cache)

@@ -44,6 +44,8 @@ void Xentry::set_metrics(obs::MetricsRegistry* registry) {
 
 void Xentry::set_analysis(const analysis::AnalysisArtifacts* artifacts) {
   analysis_ = artifacts;
+  timing_envelopes_ =
+      artifacts != nullptr && artifacts->timing.valid_count() > 0;
   if (artifacts == nullptr) return;
   for (const analysis::DerivedAssertion& d : artifacts->derived) {
     registry_.register_derived(d);
@@ -53,17 +55,32 @@ void Xentry::set_analysis(const analysis::AnalysisArtifacts* artifacts) {
 Observation Xentry::observe(hv::Machine& machine,
                             const hv::Activation& activation,
                             hv::RunOptions opts) {
-  const bool timing = timing_active();
-  opts.arm_counters = cfg_.transition_detection || timing;
-  const bool cfi = cfi_active();
-  if (cfi && opts.trace == nullptr) {
+  const hv::RunResult result = run(machine, activation, opts);
+  return judge(machine, activation, result, opts.trace, machine.cpu().regs());
+}
+
+hv::RunResult Xentry::run(hv::Machine& machine,
+                          const hv::Activation& activation,
+                          hv::RunOptions& opts) {
+  opts.arm_counters = arms_counters();
+  if (cfi_active() && opts.trace == nullptr) {
     // CFI replays the retired-instruction trace; attach a sink when the
     // caller (unlike the campaign) did not request one.
     scratch_trace_.clear();
     opts.trace = &scratch_trace_;
   }
+  return machine.run(activation, opts);
+}
+
+Observation Xentry::judge(const hv::Machine& machine,
+                          const hv::Activation& activation,
+                          const hv::RunResult& run,
+                          const std::vector<sim::Addr>* trace,
+                          const std::array<sim::Word, sim::kNumArchRegs>&
+                              final_regs) {
+  const bool cfi = cfi_active() && trace != nullptr;
   Observation obs;
-  obs.run = machine.run(activation, opts);
+  obs.run = run;
   obs.features = FeatureVector::from(activation.reason, obs.run.counters);
 
   if (metrics_.observations != nullptr) {
@@ -93,8 +110,7 @@ Observation Xentry::observe(hv::Machine& machine,
     // A trap the parser let pass may still have taken a wild edge on the
     // way: replay the partial trace (no gate, so no range checks).
     if (!obs.detected && cfi) {
-      check_control_flow(machine, activation, *opts.trace,
-                         /*reached_vm_entry=*/false, obs);
+      check_control_flow(machine, activation, *trace, nullptr, obs);
     }
     record_detection_metrics(obs);
     return obs;
@@ -104,10 +120,9 @@ Observation Xentry::observe(hv::Machine& machine,
   // envelope (deterministic bounds on the retired counters), then the
   // learned transition detector on what neither can prove wrong.
   if (cfi) {
-    check_control_flow(machine, activation, *opts.trace,
-                       /*reached_vm_entry=*/true, obs);
+    check_control_flow(machine, activation, *trace, &final_regs, obs);
   }
-  if (timing) {
+  if (timing_active()) {
     check_timing_envelope(machine, activation, obs);
   }
   if (!obs.detected && cfg_.transition_detection && detector_.has_model() &&
@@ -120,15 +135,21 @@ Observation Xentry::observe(hv::Machine& machine,
   return obs;
 }
 
-void Xentry::check_control_flow(hv::Machine& machine,
+void Xentry::check_control_flow(const hv::Machine& machine,
                                 const hv::Activation& activation,
                                 const std::vector<sim::Addr>& trace,
-                                bool reached_vm_entry, Observation& obs) {
+                                const std::array<sim::Word,
+                                                 sim::kNumArchRegs>* final_regs,
+                                Observation& obs) {
+  // At VM entry the final rip is the hlt gate and the final registers
+  // feed the derived range checks; a trapped run has neither.
   const sim::Addr hlt_addr =
-      reached_vm_entry ? machine.cpu().reg(sim::Reg::rip) : analysis::kNoAddr;
+      final_regs != nullptr
+          ? (*final_regs)[static_cast<std::size_t>(sim::Reg::rip)]
+          : analysis::kNoAddr;
   const analysis::CfiResult r = analysis::check_trace(
       *analysis_, trace, machine.handler_entry(activation.reason), hlt_addr,
-      reached_vm_entry ? &machine.cpu().regs() : nullptr);
+      final_regs);
   if (metrics_.cfi_checks != nullptr) {
     metrics_.cfi_checks->inc();
     if (r.kind == analysis::CfiResult::Kind::DerivedRange) {
@@ -148,7 +169,7 @@ void Xentry::check_control_flow(hv::Machine& machine,
                            : r.step;
 }
 
-void Xentry::check_timing_envelope(hv::Machine& machine,
+void Xentry::check_timing_envelope(const hv::Machine& machine,
                                    const hv::Activation& activation,
                                    Observation& obs) {
   // Only meaningful on runs that reached VM entry: the counters then

@@ -10,7 +10,9 @@
 // detected, by which technique, and at which dynamic instruction.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <vector>
 
 #include "analysis/artifacts.hpp"
 #include "hv/machine.hpp"
@@ -117,18 +119,49 @@ class Xentry {
   void set_metrics(obs::MetricsRegistry* registry);
 
   /// Runs one activation under full Xentry interception and classifies
-  /// the outcome.  Counter arming follows the config: transition
-  /// detection needs the counters; runtime detection alone does not.
+  /// the outcome: run() followed by judge() on the machine's final
+  /// register file.  Counter arming follows the config: transition and
+  /// timing detection need the counters; runtime detection and CFI alone
+  /// do not.
   Observation observe(hv::Machine& machine, const hv::Activation& activation,
                       hv::RunOptions opts = {});
 
+  /// The run step of observe(): sets `opts.arm_counters` to
+  /// arms_counters(), points `opts.trace` at a scratch sink when CFI is
+  /// active and the caller supplied none, and runs the activation.
+  hv::RunResult run(hv::Machine& machine, const hv::Activation& activation,
+                    hv::RunOptions& opts);
+
+  /// True when run() arms the performance counters; otherwise a run's
+  /// counters (and so its features) are all zero.
+  bool arms_counters() const {
+    return cfg_.transition_detection || timing_active();
+  }
+
+  /// The judge step of observe(): classifies a finished run of
+  /// `activation` on `machine` from its result, its retired-rip `trace`
+  /// (read only when CFI is active) and the register file it ended with,
+  /// recording assertion fires and framework metrics.  The machine's own
+  /// state is not read (only its handler-entry table), so a caller that
+  /// knows a run's outcome without executing it — fault::
+  /// InjectionExperiment's probe-decided faulted runs — judges it exactly
+  /// as observe() would have.
+  Observation judge(const hv::Machine& machine,
+                    const hv::Activation& activation,
+                    const hv::RunResult& run,
+                    const std::vector<sim::Addr>* trace,
+                    const std::array<sim::Word, sim::kNumArchRegs>&
+                        final_regs);
+
  private:
   void record_detection_metrics(const Observation& obs);
-  void check_control_flow(hv::Machine& machine,
+  void check_control_flow(const hv::Machine& machine,
                           const hv::Activation& activation,
                           const std::vector<sim::Addr>& trace,
-                          bool reached_vm_entry, Observation& obs);
-  void check_timing_envelope(hv::Machine& machine,
+                          const std::array<sim::Word, sim::kNumArchRegs>*
+                              final_regs,
+                          Observation& obs);
+  void check_timing_envelope(const hv::Machine& machine,
                              const hv::Activation& activation,
                              Observation& obs);
 
@@ -152,8 +185,7 @@ class Xentry {
   }
 
   bool timing_active() const {
-    return cfg_.timing_detection && analysis_ != nullptr &&
-           analysis_->timing.valid_count() > 0;
+    return cfg_.timing_detection && timing_envelopes_;
   }
 
   XentryConfig cfg_;
@@ -162,6 +194,9 @@ class Xentry {
   TransitionDetector detector_;
   MetricHandles metrics_{};
   const analysis::AnalysisArtifacts* analysis_ = nullptr;
+  /// The attached artifacts hold at least one finite timing envelope
+  /// (counted once in set_analysis: artifacts are immutable once attached).
+  bool timing_envelopes_ = false;
   /// Trace sink observe() attaches when CFI is active and the caller did
   /// not supply one (reused across observations).
   std::vector<sim::Addr> scratch_trace_;

@@ -122,24 +122,55 @@ TEST(ExperimentTest, AdvanceLeavesFaultyMachineUntouched) {
   EXPECT_TRUE(rig.golden.memory().differs_from(rig.faulty.memory()));
 }
 
-TEST(ExperimentTest, RunOneRealignsFaultyMachineAfterAdvances) {
-  // After golden-only advances the machines disagree; run_one of a flip
-  // that is never activated must still leave them in the same persistent
-  // state, because the faulted run starts from the golden pre-run state.
-  Rig rig;
+TEST(ExperimentTest, DecidedRunLeavesFaultyMachineAndNextRunRealigns) {
+  // Two rigs see the same golden stream: the jit rig decides a flip that is
+  // never read from the golden probe, the reference rig executes it.  The
+  // decided run must leave the faulty machine as it was; the next executed
+  // run must realign it from the golden pre-run state all the same.
+  Rig jit, ref;
+  ref.golden.set_execution_engine(sim::EngineKind::Reference);
+  ref.faulty.set_execution_engine(sim::EngineKind::Reference);
   for (int i = 0; i < 5; ++i) {
-    rig.exp.advance(rig.golden.make_activation(
-        hv::ExitReason::apic(hv::ApicInterrupt::timer), 100 + i));
+    const auto act = jit.golden.make_activation(
+        hv::ExitReason::apic(hv::ApicInterrupt::timer), 100 + i);
+    jit.exp.advance(act);
+    ref.exp.advance(act);
   }
-  ASSERT_FALSE(hv::Machine::diff_persistent_state(rig.golden, rig.faulty)
+  ASSERT_FALSE(hv::Machine::diff_persistent_state(jit.golden, jit.faulty)
                    .empty());
-  const auto act = rig.golden.make_activation(
+  const auto faulty_before = jit.faulty.memory().snapshot();
+  const auto regs_before = jit.faulty.cpu().regs();
+  const auto tsc_before = jit.faulty.cpu().tsc();
+
+  const auto act = jit.golden.make_activation(
       hv::ExitReason::apic(hv::ApicInterrupt::spurious), 9, 0);
   // The spurious handler never touches rdx.
-  const auto r = rig.exp.run_one(act, hv::Injection{1, sim::Reg::rdx, 30});
-  EXPECT_FALSE(r.record.activated);
-  EXPECT_TRUE(hv::Machine::diff_persistent_state(rig.golden, rig.faulty)
+  const hv::Injection dead{1, sim::Reg::rdx, 30};
+  const auto decided = jit.exp.run_one(act, dead);
+  const auto executed = ref.exp.run_one(act, dead);
+  EXPECT_TRUE(decided.probe_decided);
+  EXPECT_FALSE(executed.probe_decided);
+  EXPECT_FALSE(decided.record.activated);
+  EXPECT_EQ(decided.record.features, executed.record.features);
+  EXPECT_EQ(jit.faulty.memory().snapshot(), faulty_before);
+  EXPECT_EQ(jit.faulty.cpu().regs(), regs_before);
+  EXPECT_EQ(jit.faulty.cpu().tsc(), tsc_before);
+  // The executed never-activated run ends where the golden run does.
+  EXPECT_TRUE(hv::Machine::diff_persistent_state(ref.golden, ref.faulty)
                   .empty());
+  ASSERT_NE(jit.faulty.memory().snapshot(), ref.faulty.memory().snapshot());
+
+  // A rip flip always executes: both faulty machines restart from the same
+  // pre-run state, whatever they held, and end identical.
+  const auto next = jit.golden.make_activation(
+      hv::ExitReason::hypercall(hv::Hypercall::console_io), 8, 2);
+  const hv::Injection rip{3, sim::Reg::rip, 45};
+  const auto a = jit.exp.run_one(next, rip);
+  const auto b = ref.exp.run_one(next, rip);
+  EXPECT_FALSE(a.probe_decided);
+  EXPECT_EQ(a.record.consequence, b.record.consequence);
+  EXPECT_EQ(jit.faulty.memory().snapshot(), ref.faulty.memory().snapshot());
+  EXPECT_EQ(jit.faulty.cpu().regs(), ref.faulty.cpu().regs());
 }
 
 TEST(ExperimentTest, NonActivatedFaultIsMasked) {

@@ -17,7 +17,9 @@
 #include <filesystem>
 #include <memory>
 #include <ostream>
+#include <sstream>
 #include <string>
+#include <string_view>
 
 #include "analysis/artifacts.hpp"
 #include "fault/campaign.hpp"
@@ -88,6 +90,92 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(sim::engine_name(info.param.engine)) +
              (info.param.sampling ? "_sampled" : "_uniform");
     });
+
+/// FNV-1a over a byte string, continuing from `h`.
+std::uint64_t fnv1a(std::uint64_t h, std::string_view bytes) {
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Hash of every record's telemetry, the fields records_digest leaves out:
+/// the flight-recorder frames (field by field, no padding bytes) and the
+/// forensics JSON, with a separator per record.
+std::uint64_t telemetry_digest(const std::vector<InjectionRecord>& records) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::ostringstream os;
+  for (const InjectionRecord& r : records) {
+    os.str("");
+    for (const obs::FlightFrame& f : r.blackbox) {
+      os << f.seq << ',' << f.exit_code << ',' << f.steps << ','
+         << f.inst_retired << ',' << f.branches << ',' << f.loads << ','
+         << f.stores << ',' << int{f.source} << ',' << f.reached_vm_entry
+         << ',' << int{f.trap_kind} << ',' << f.trap_aux << ','
+         << f.trap_addr << ';';
+    }
+    os << '|';
+    if (r.forensics.has_value()) r.forensics->write_json(os);
+    os << '\n';
+    h = fnv1a(h, os.str());
+  }
+  return h;
+}
+
+/// Canonical text of the metrics that do not measure cost: every counter,
+/// gauge and histogram except wall-clock ones (`*_ns`, `*_us`, `*_sec`),
+/// the snapshot/restore copy counters (`machine.*_words`), which measure
+/// work that a faster campaign is free to skip, and
+/// `campaign.probe_decided`, which counts the faulted runs skipped.
+std::string deterministic_metrics(const obs::MetricsRegistry& m) {
+  const auto is_cost = [](std::string_view name) {
+    const auto ends = [&](std::string_view s) {
+      return name.size() >= s.size() &&
+             name.substr(name.size() - s.size()) == s;
+    };
+    return ends("_ns") || ends("_us") || ends("_sec") ||
+           (name.substr(0, 8) == "machine." && ends("_words")) ||
+           name == "campaign.probe_decided";
+  };
+  std::ostringstream os;
+  for (const auto& [name, c] : m.counters()) {
+    if (!is_cost(name)) os << name << '=' << c.value() << '\n';
+  }
+  for (const auto& [name, g] : m.gauges()) {
+    if (!is_cost(name)) os << name << '=' << g.value() << '\n';
+  }
+  for (const auto& [name, hist] : m.histograms()) {
+    if (is_cost(name)) continue;
+    os << name << '=' << hist.count() << '/' << hist.sum() << '/'
+       << hist.min() << '/' << hist.max() << ':';
+    for (int i = 0; i < obs::Log2Histogram::kNumBuckets; ++i) {
+      os << hist.bucket(i) << ',';
+    }
+    os << '\n';
+  }
+  return os.str();
+}
+
+TEST(KnownAnswerTelemetryTest, FlightFramesForensicsAndMetricsArePinned) {
+  // `micro_campaign 2000 1 7` with every collection layer on
+  // (obs::Options::all()) plus forensics.  records_digest covers neither
+  // the blackbox nor the forensics evidence, and the cost-free metric
+  // values are a second view of the same runs.
+  CampaignConfig cfg = micro_campaign_config(sim::EngineKind::Jit, false);
+  cfg.obs = obs::Options::all();
+  cfg.obs.forensics = true;
+  const CampaignResult res = run_campaign(cfg);
+  ASSERT_EQ(res.records.size(), 2000u);
+  EXPECT_EQ(records_digest(res.records), 0xea90685bedc71d1bull);
+  EXPECT_EQ(telemetry_digest(res.records), 0xd30d0c0c2fa73dbaull)
+      << std::hex << "got " << telemetry_digest(res.records);
+  const std::string metrics = deterministic_metrics(res.metrics);
+  EXPECT_EQ(fnv1a(0xcbf29ce484222325ull, metrics), 0x5f030a52247a6898ull)
+      << std::hex << "got " << fnv1a(0xcbf29ce484222325ull, metrics)
+      << std::dec << " over\n"
+      << metrics;
+}
 
 TEST(KnownAnswerShardsTest, FourShardUniformDigestIsPinned) {
   // `micro_campaign 2000 4 7`: shards split the quota and seed their own

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "analysis/cfg.hpp"
@@ -391,6 +393,154 @@ TEST(MemoryBlockGenTest, JitStoresStampTheirBlocks) {
   }
   EXPECT_GT(runs, 500);
   EXPECT_GT(restores, 500);
+}
+
+
+// -- region lookup (page-to-region table) ------------------------------------
+
+/// The region holding `a`, by a linear scan of regions(): the oracle for
+/// Memory's page-table lookup.
+const Memory::Region* scan(const Memory& m, Addr a) {
+  for (const Memory::Region& r : m.regions()) {
+    if (a >= r.base && a - r.base < r.size) return &r;
+  }
+  return nullptr;
+}
+
+/// Every lookup entry point against the scan: region_at/is_mapped, read
+/// and write traps and values, peek, poke_span and direct_span.  Probes
+/// run in the given order, so shuffled orders exercise the hint caches.
+void check_lookups(Memory& m, const std::vector<Addr>& probes) {
+  for (const Addr a : probes) {
+    SCOPED_TRACE(::testing::Message() << std::hex << "addr 0x" << a);
+    const Memory::Region* want = scan(m, a);
+    ASSERT_EQ(m.region_at(a), want);
+    ASSERT_EQ(m.is_mapped(a), want != nullptr);
+    Word v = 0;
+    const Trap rt = m.read(a, v);
+    const Word w = a * 0x9e3779b97f4a7c15ull + 1;
+    const Trap wt = m.write(a, w);
+    const Memory::DirectSpan span = m.direct_span(a);
+    if (want == nullptr) {
+      EXPECT_EQ(rt.kind, TrapKind::PageFault);
+      EXPECT_EQ(rt.fault_addr, a);
+      EXPECT_EQ(wt.kind, TrapKind::PageFault);
+      EXPECT_EQ(wt.fault_addr, a);
+      EXPECT_EQ(span.size, 0u);
+      continue;
+    }
+    const Addr off = a - want->base;
+    const Word before = v;
+    EXPECT_FALSE(rt);
+    if (want->perm == Perm::ReadWrite) {
+      EXPECT_FALSE(wt);
+      EXPECT_EQ(want->data[off], w);
+    } else {
+      EXPECT_EQ(wt.kind, TrapKind::GeneralProtection);
+      EXPECT_EQ(want->data[off], before);
+    }
+    EXPECT_EQ(m.peek(a), want->data[off]);
+    EXPECT_EQ(m.poke_span(a, want->size - off), &want->data[off]);
+    m.poke(a, w + 1);
+    EXPECT_EQ(want->data[off], w + 1);
+    EXPECT_EQ(span.base, want->base);
+    EXPECT_EQ(span.size, want->size);
+    EXPECT_EQ(span.data, want->data.data());
+    EXPECT_EQ(span.writable, want->perm == Perm::ReadWrite);
+  }
+}
+
+/// Region edges, page edges and random addresses (low, anywhere in 64
+/// bits, and at the top of the address space) for the regions of `m`.
+std::vector<Addr> lookup_probes(const Memory& m, std::mt19937_64& rng) {
+  std::vector<Addr> probes = {0, 1, ~Addr{0}, ~Addr{0} - 0x40,
+                              Addr{1} << 32, (Addr{1} << 32) - 1};
+  for (const Memory::Region& r : m.regions()) {
+    for (const Addr a : {r.base - 1, r.base, r.base + r.size / 2,
+                         r.base + r.size - 1, r.base + r.size}) {
+      probes.push_back(a);
+      const Addr page = a >> Memory::kPageShift;
+      probes.push_back(page << Memory::kPageShift);
+      probes.push_back((page << Memory::kPageShift) - 1);
+    }
+  }
+  for (int i = 0; i < 400; ++i) probes.push_back(rng() & 0x1ffffff);
+  for (int i = 0; i < 100; ++i) probes.push_back(rng());
+  std::shuffle(probes.begin(), probes.end(), rng);
+  return probes;
+}
+
+/// Fixed awkward regions plus random ones, mapped in random order:
+/// two regions on one 4,096-word page, a region straddling a page edge,
+/// a read-only one, one past the lookup table and one ending at 2^64.
+void map_awkward_regions(Memory& m, std::mt19937_64& rng) {
+  struct Spec {
+    Addr base, size;
+    Perm perm;
+  };
+  std::vector<Spec> specs = {
+      {0x1000, 0x10, Perm::ReadWrite},     // page 1, shared ...
+      {0x1800, 0x100, Perm::ReadWrite},    // ... with this one
+      {0x2ff0, 0x30, Perm::ReadWrite},     // straddles pages 2 and 3
+      {0x10000, 0x3000, Perm::ReadWrite},  // pages 16-18, ends mid-page
+      {0x20000, 8, Perm::Read},
+      {Addr{1} << 48, 0x20, Perm::ReadWrite},  // past the table
+      {~Addr{0} - 0x3f, 0x40, Perm::ReadWrite},  // ends at 2^64 - 1
+  };
+  // Random regions in the low 16M words, skipping any that would overlap.
+  for (int i = 0; i < 24; ++i) {
+    const Addr base = rng() & 0xffffff;
+    const Addr size = 1 + rng() % 6000;
+    bool overlaps = false;
+    for (const Spec& s : specs) {
+      overlaps |= !(base + size <= s.base || s.base + s.size <= base);
+    }
+    if (!overlaps) specs.push_back({base, size, Perm::ReadWrite});
+  }
+  std::shuffle(specs.begin(), specs.end(), rng);
+  int n = 0;
+  for (const Spec& s : specs) {
+    m.map(s.base, s.size, s.perm, "r" + std::to_string(n++));
+  }
+}
+
+TEST(MemoryLookupTest, PageTableLookupMatchesLinearScan) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    std::mt19937_64 rng(seed);
+    Memory m;
+    map_awkward_regions(m, rng);
+    check_lookups(m, lookup_probes(m, rng));
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(MemoryLookupTest, LookupsSurviveCopyAssignmentAndLaterMaps) {
+  std::mt19937_64 rng(99);
+  Memory m;
+  map_awkward_regions(m, rng);
+  const std::vector<Addr> probes = lookup_probes(m, rng);
+
+  Memory copy(m);
+  check_lookups(copy, probes);
+  Memory assigned;
+  assigned.map(0x500, 4, Perm::ReadWrite, "old");
+  assigned = m;
+  check_lookups(assigned, probes);
+  ASSERT_FALSE(HasFatalFailure());
+
+  // map() after a copy: a region below every other one (every index
+  // shifts) and one more on the shared page.  The original is unchanged.
+  copy.map(0x10, 4, Perm::ReadWrite, "lowest");
+  copy.map(0x1200, 0x20, Perm::ReadWrite, "shared2");
+  std::vector<Addr> more = probes;
+  for (const Addr a : {0x10, 0x13, 0x14, 0xf, 0x1200, 0x121f, 0x1220}) {
+    more.push_back(a);
+  }
+  check_lookups(copy, more);
+  EXPECT_FALSE(m.is_mapped(0x10));
+  EXPECT_FALSE(m.is_mapped(0x1200));
+  check_lookups(m, probes);
 }
 
 }  // namespace
