@@ -1,5 +1,6 @@
 #include "fault/experiment.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "sim/splitmix.hpp"
@@ -158,13 +159,20 @@ InjectionExperiment::Result InjectionExperiment::run_faulted(
     out.probe_decided = true;
   } else {
     // Faulted run under Xentry interception, from the golden pre-run
-    // state.
+    // state, traced up to the golden run's bound.
     faulty_.restore(probe.pre);
     fault_trace_.clear();
     hv::RunOptions fopts;
     fopts.trace = &fault_trace_;
     fopts.injection = &injection;
-    obs = xentry_.observe(faulty_, activation, fopts);
+    fopts.trace_limit = trace_limit(injection, probe);
+    hv::RunResult run = xentry_.run(faulty_, activation, fopts);
+    if (run.trace_truncated && xentry_.reads_trace(run)) {
+      run = rerun_traced(activation, fopts, probe);
+      out.trace_rerun = true;
+    }
+    obs = xentry_.judge(faulty_, activation, run, &fault_trace_,
+                        faulty_.cpu().regs());
     rec.trace_diverged = fault_trace_ != probe.trace;
   }
 
@@ -186,8 +194,8 @@ InjectionExperiment::Result InjectionExperiment::run_faulted(
                           : Consequence::HypervisorCrash;
   } else {
     const auto diffs = consumed_diffs(
-        hv::Machine::diff_persistent_state(golden_, faulty_), activation,
-        injection);
+        hv::Machine::diff_persistent_state(golden_, faulty_, probe.pre),
+        activation, injection);
     rec.consequence = classify_consequence(diffs);
     rec.undetected = UndetectedClass::NotApplicable;
     if (rec.consequence != Consequence::Masked) {
@@ -224,6 +232,27 @@ InjectionExperiment::Result InjectionExperiment::run_faulted(
     if (sampled) run_forensics(rec, activation, injection, probe);
   }
   return out;
+}
+
+std::uint64_t InjectionExperiment::trace_limit(const hv::Injection& injection,
+                                               const GoldenProbe& probe) {
+  return std::max(injection.at_step + 5, probe.steps + 1) + kTraceSlack;
+}
+
+hv::RunResult InjectionExperiment::rerun_traced(
+    const hv::Activation& activation, hv::RunOptions& opts,
+    const GoldenProbe& probe) {
+  // The same run again, now traced whole.  The bounded run already left
+  // its flight-recorder frame and VM-exit span, so this one runs with the
+  // machine's telemetry detached.
+  faulty_.restore(probe.pre);
+  opts.trace->clear();
+  opts.trace_limit = hv::RunOptions{}.trace_limit;
+  const obs::MachineTelemetry* const telemetry = faulty_.telemetry();
+  faulty_.set_telemetry(nullptr);
+  const hv::RunResult run = xentry_.run(faulty_, activation, opts);
+  faulty_.set_telemetry(telemetry);
+  return run;
 }
 
 Observation InjectionExperiment::judge_from_probe(

@@ -76,6 +76,9 @@ class InjectionExperiment {
     /// The faulted run was decided from the golden probe, not executed
     /// (see run_one).
     bool probe_decided = false;
+    /// The faulted run outran its trace bound and was executed a second
+    /// time with a whole trace for Xentry::judge (see run_one).
+    bool trace_rerun = false;
   };
 
   /// What happens to a flipped register (never rip) over the rest of a
@@ -127,6 +130,16 @@ class InjectionExperiment {
   /// appended, so the Result equals the executed one field by field.
   /// The faulty machine is left untouched.  The reference engine
   /// executes every faulted run.
+  ///
+  /// An executed faulted run records its control-flow trace only up to
+  /// trace_limit(), which covers every step the record reads (the
+  /// divergence test against the golden trace and the stack-op window
+  /// after the flip); the rest of the run goes untraced.  When such a
+  /// run outran the bound and Xentry::reads_trace says the judge replays
+  /// its trace (CFI), it is re-executed from the golden pre-run state
+  /// with a whole trace before it is judged (Result::trace_rerun).  The
+  /// re-run leaves no second flight-recorder frame, VM-exit span or
+  /// xentry.* metric, so the Result equals an unbounded run's.
   Result run_one(const hv::Activation& activation,
                  const hv::Injection& injection);
 
@@ -145,6 +158,18 @@ class InjectionExperiment {
   /// probe's pre-run state, so keeping it in lock-step here would be a
   /// copy nobody reads.
   void advance(const hv::Activation& activation);
+
+  /// Retired steps past the golden-derived minimum that a faulted run's
+  /// trace still records (see trace_limit).  Faulted runs rarely run
+  /// that far past their golden run unless they hang.
+  static constexpr std::uint64_t kTraceSlack = 4096;
+
+  /// The trace bound of a faulted run of `injection` against `probe`:
+  /// past the golden length (so a longer run still reads as diverged) and
+  /// past the four steps after the flip that classification inspects,
+  /// plus kTraceSlack.
+  static std::uint64_t trace_limit(const hv::Injection& injection,
+                                   const GoldenProbe& probe);
 
   /// Steps of the most recent golden run (for drawing injection points).
   std::uint64_t last_golden_steps() const { return last_golden_steps_; }
@@ -193,6 +218,8 @@ class InjectionExperiment {
   Result run_faulted(const hv::Activation& activation,
                      const hv::Injection& injection,
                      const GoldenProbe& probe);
+  hv::RunResult rerun_traced(const hv::Activation& activation,
+                             hv::RunOptions& opts, const GoldenProbe& probe);
   Observation judge_from_probe(const hv::Activation& activation,
                                const hv::Injection& injection,
                                const GoldenProbe& probe, FlipFate fate);

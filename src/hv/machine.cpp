@@ -1,5 +1,6 @@
 #include "hv/machine.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <stdexcept>
@@ -473,17 +474,38 @@ void settle(RunResult& result, const sim::StepInfo& info, std::uint64_t step) {
 
 }  // namespace
 
+sim::StepInfo Machine::run_bounded(std::uint64_t budget,
+                                  std::uint64_t trace_limit) {
+  const std::uint64_t done = cpu_.steps_executed();
+  if (done <= trace_limit && budget <= trace_limit - done) {
+    return cpu_.run(budget);
+  }
+  if (done < trace_limit) {
+    // The traced part stops at the limit on the watchdog of its split
+    // budget; anything else ended the run before the limit.
+    const std::uint64_t traced = trace_limit - done;
+    const sim::StepInfo info = cpu_.run(traced);
+    if (info.status != sim::StepInfo::Status::Trapped ||
+        info.trap.kind != sim::TrapKind::Watchdog) {
+      return info;
+    }
+    budget -= traced;
+  }
+  cpu_.set_trace(nullptr);
+  return cpu_.run(budget);
+}
+
 void Machine::run_injected(const Injection& inj, std::uint64_t max_steps,
-                           RunResult& result) {
+                           std::uint64_t trace_limit, RunResult& result) {
   // Three engine runs: the fault-free prefix before the flip, the watch
   // window up to the first instruction that statically reads or writes
   // the flipped register (the register watch stops before it), and the
   // rest.  Every observable is bit-identical to single-stepping the whole
   // activation — the engine differential tests and the campaign digest
-  // pins enforce it.
+  // pins enforce it.  Each run stops tracing at `trace_limit`.
   const std::uint64_t prefix = std::min<std::uint64_t>(inj.at_step, max_steps);
   if (prefix > 0) {
-    const sim::StepInfo info = cpu_.run(prefix);
+    const sim::StepInfo info = run_bounded(prefix, trace_limit);
     // run() raises Watchdog at budget exhaustion; it is the architectural
     // watchdog only when the budget was the full allowance.  Otherwise the
     // prefix simply completed.
@@ -509,7 +531,7 @@ void Machine::run_injected(const Injection& inj, std::uint64_t max_steps,
   } else {
     const std::uint32_t target_bit = sim::reg_bit(inj.reg);
     cpu_.set_watch(target_bit);
-    const sim::StepInfo hop = cpu_.run(max_steps - step);
+    const sim::StepInfo hop = run_bounded(max_steps - step, trace_limit);
     cpu_.set_watch(0);
     step = cpu_.steps_executed();
     if (hop.status != sim::StepInfo::Status::Ok) {
@@ -524,7 +546,7 @@ void Machine::run_injected(const Injection& inj, std::uint64_t max_steps,
       result.activation_step = step;
     }
   }
-  const sim::StepInfo info = cpu_.run(max_steps - step);
+  const sim::StepInfo info = run_bounded(max_steps - step, trace_limit);
   settle(result, info, cpu_.steps_executed());
 }
 
@@ -547,13 +569,15 @@ RunResult Machine::run(const Activation& act, const RunOptions& opts) {
   // masks of a watch stop regardless.
   cpu_.set_mask_tracking(false);
   if (inj == nullptr) {
-    const sim::StepInfo info = cpu_.run(opts.max_steps);
+    const sim::StepInfo info = run_bounded(opts.max_steps, opts.trace_limit);
     settle(result, info, cpu_.steps_executed());
     // A clean run reports its retired count even when the watchdog ends it.
     result.steps = cpu_.steps_executed();
   } else {
-    run_injected(*inj, opts.max_steps, result);
+    run_injected(*inj, opts.max_steps, opts.trace_limit, result);
   }
+  result.trace_truncated =
+      opts.trace != nullptr && cpu_.steps_executed() > opts.trace_limit;
 
   result.counters = opts.arm_counters ? cpu_.counters().disarm()
                                       : sim::PerfSnapshot{};
@@ -633,33 +657,73 @@ void Machine::restore(const Snapshot& snap) {
   if (t != nullptr && t->restore_words != nullptr) t->restore_words->inc(words);
 }
 
+namespace {
+
+/// Appends the classified diffs of words [lo, hi) of region `r` of two
+/// machines built with identical options.
+void diff_words(const Machine& golden, const Machine& faulty, std::size_t r,
+                Addr lo, Addr hi, std::vector<StateDiff>& diffs) {
+  const sim::Memory::Region& g = golden.memory().regions()[r];
+  const sim::Memory::Region& f = faulty.memory().regions()[r];
+  const int nd = golden.num_domains();
+  const int nv = golden.num_vcpus() + 1;  // include the idle vcpu
+  for (Addr off = lo; off < hi; ++off) {
+    const Word gw = g.data[off];
+    const Word fw = f.data[off];
+    if (gw == fw) continue;
+    StateDiff d;
+    d.addr = g.base + off;
+    d.golden = gw;
+    d.faulty = fw;
+    if (!L::classify_address(d.addr, nd, nv, d.cls, d.domain)) continue;
+    if (d.domain <= -2) {
+      // VCPU sentinel: translate the vcpu index to its domain.
+      const int vcpu = -2 - d.domain;
+      d.domain = vcpu >= golden.num_vcpus()
+                     ? 0
+                     : vcpu / golden.microvisor().options.vcpus_per_domain;
+    }
+    diffs.push_back(d);
+  }
+}
+
+}  // namespace
+
 std::vector<StateDiff> Machine::diff_persistent_state(const Machine& golden,
                                                       const Machine& faulty) {
   std::vector<StateDiff> diffs;
   const auto& gr = golden.memory().regions();
   const auto& fr = faulty.memory().regions();
   assert(gr.size() == fr.size());
-  const int nd = golden.num_domains();
-  const int nv = golden.num_vcpus() + 1;  // include the idle vcpu
-  const int vpd = golden.mv_.options.vcpus_per_domain;
   for (std::size_t r = 0; r < gr.size(); ++r) {
     if (gr[r].name == "stack") continue;  // scratch, not persistent state
     if (gr[r].data == fr[r].data) continue;  // memcmp gate: no diffs here
-    for (Addr off = 0; off < gr[r].size; ++off) {
-      const Word g = gr[r].data[off];
-      const Word f = fr[r].data[off];
-      if (g == f) continue;
-      StateDiff d;
-      d.addr = gr[r].base + off;
-      d.golden = g;
-      d.faulty = f;
-      if (!L::classify_address(d.addr, nd, nv, d.cls, d.domain)) continue;
-      if (d.domain <= -2) {
-        // VCPU sentinel: translate the vcpu index to its domain.
-        const int vcpu = -2 - d.domain;
-        d.domain = vcpu >= golden.num_vcpus() ? 0 : vcpu / vpd;
+    diff_words(golden, faulty, r, 0, gr[r].size, diffs);
+  }
+  return diffs;
+}
+
+std::vector<StateDiff> Machine::diff_persistent_state(const Machine& golden,
+                                                      const Machine& faulty,
+                                                      const Snapshot& since) {
+  std::vector<StateDiff> diffs;
+  const sim::Memory& gm = golden.memory();
+  const sim::Memory& fm = faulty.memory();
+  const auto& gr = gm.regions();
+  const sim::Memory::Snapshot& pre = since.memory;
+  assert(fm.regions().size() == gr.size() && pre.regions.size() == gr.size());
+  constexpr Addr kBlock = Addr{1} << sim::Memory::kBlockShift;
+  for (std::size_t r = 0; r < gr.size(); ++r) {
+    if (gr[r].name == "stack") continue;  // scratch, not persistent state
+    if (!gm.region_may_differ(pre, r) && !fm.region_may_differ(pre, r)) {
+      continue;  // neither side wrote it since `since`
+    }
+    for (std::size_t b = 0; b < gr[r].block_gen.size(); ++b) {
+      if (gm.block_may_differ(pre, r, b) || fm.block_may_differ(pre, r, b)) {
+        const Addr lo = static_cast<Addr>(b) * kBlock;
+        diff_words(golden, faulty, r, lo, std::min(lo + kBlock, gr[r].size),
+                   diffs);
       }
-      diffs.push_back(d);
     }
   }
   return diffs;

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -44,10 +45,21 @@ struct Injection {
   int bit = 0;
 };
 
+/// How to run one activation (Machine::run).
 struct RunOptions {
   std::uint64_t max_steps = 100000;   ///< watchdog budget
+  /// The fault to inject, or nullptr for a clean run.
   const Injection* injection = nullptr;
-  std::vector<sim::Addr>* trace = nullptr;  ///< control-flow trace sink
+  /// Control-flow trace sink: the rip of every retired instruction is
+  /// appended, in order, to what the vector already holds.
+  std::vector<sim::Addr>* trace = nullptr;
+  /// Retired instructions the trace records at most: past this many, the
+  /// run continues with the trace detached, and RunResult::trace_truncated
+  /// says so.  Only the recording stops; the run is otherwise the same.
+  /// fault::InjectionExperiment bounds its faulted runs' traces from their
+  /// golden run; everything else leaves traces whole.
+  std::uint64_t trace_limit = std::numeric_limits<std::uint64_t>::max();
+  /// Arm the performance counters for the run (RunResult::counters).
   bool arm_counters = true;
 };
 
@@ -64,6 +76,9 @@ struct RunResult {
   bool activated = false;  ///< the corrupted register was read afterwards
   std::uint64_t activation_step = 0;
   std::uint64_t trap_step = 0;  ///< dynamic index at which the trap fired
+  /// The run retired more instructions than RunOptions::trace_limit, so
+  /// the trace holds only the first trace_limit of them.
+  bool trace_truncated = false;
 };
 
 /// One word of persistent state that differs between two runs, with its
@@ -137,6 +152,16 @@ class Machine {
   /// of two machines built with identical options.
   static std::vector<StateDiff> diff_persistent_state(const Machine& golden,
                                                       const Machine& faulty);
+  /// The same diffs, in the same order, comparing only the 64-word blocks
+  /// either machine wrote since `since`: `since` was captured from
+  /// `golden`, and `faulty` was last restored from it (the faulted-run
+  /// setup of fault::InjectionExperiment).  A block neither wrote still
+  /// holds the snapshot's contents on both sides.  When the preconditions
+  /// do not hold, the generations say "may differ" and the compare falls
+  /// back to the words themselves, so the result is still exact.
+  static std::vector<StateDiff> diff_persistent_state(const Machine& golden,
+                                                      const Machine& faulty,
+                                                      const Snapshot& since);
 
   // -- accessors ------------------------------------------------------------------
 
@@ -179,6 +204,7 @@ class Machine {
   void set_telemetry(const obs::MachineTelemetry* telemetry) {
     telemetry_ = telemetry;
   }
+  const obs::MachineTelemetry* telemetry() const { return telemetry_; }
 
  private:
   void map_regions();
@@ -186,7 +212,10 @@ class Machine {
   void prepare_inputs(const Activation& activation);
   /// run()'s injection path after begin_activation.
   void run_injected(const Injection& inj, std::uint64_t max_steps,
-                    RunResult& result);
+                    std::uint64_t trace_limit, RunResult& result);
+  /// cpu_.run(budget), detaching the trace once the activation has
+  /// retired `trace_limit` instructions (the run is split there).
+  sim::StepInfo run_bounded(std::uint64_t budget, std::uint64_t trace_limit);
 
   Microvisor mv_;
   sim::Memory mem_;

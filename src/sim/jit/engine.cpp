@@ -33,9 +33,19 @@
 // at rip is clear again, where it re-enters the threaded loop.  With no
 // watch armed the AND is always zero.
 //
+// Trace cursor: the Trace variants store retired rips through a local
+// cursor, not per-op push_back.  Each superblock entry reserves room for
+// the entry op's sb_remaining (the most retires before the next entry
+// check) by growing the caller's vector, and every exit — hlt, trap,
+// assertion, watchdog, deopt, off-image — trims the vector back to the
+// cursor, so callers (and the single-step deopt paths, which push_back)
+// see exactly the retired rips appended to what the vector held.
+//
 // Computed goto is a GNU extension (GCC and Clang both provide it); on
 // other compilers run_jit transparently degrades to the reference
 // engine, which is bit-identical.
+#include <algorithm>
+#include <cstddef>
 #include <stdexcept>
 #include <utility>
 
@@ -64,6 +74,21 @@ constexpr std::size_t kRsp = static_cast<std::size_t>(Reg::rsp);
 constexpr std::size_t kRip = static_cast<std::size_t>(Reg::rip);
 constexpr std::size_t kRflags = static_cast<std::size_t>(Reg::rflags);
 
+/// Minimum growth of a trace reservation, in entries.
+constexpr std::size_t kTraceChunk = 64;
+
+/// Grows `trace` so that at least `need` entries fit after `cur` (a
+/// cursor into its data) and returns the cursor in the new storage.
+/// Growth is geometric in the entries written so far, so the zero-fill
+/// resize() does stays proportional to the trace itself, whatever
+/// capacity an earlier, longer trace left behind.
+[[gnu::noinline]] Addr* reserve_trace(std::vector<Addr>& trace, Addr* cur,
+                                      std::size_t need) {
+  const std::size_t used = static_cast<std::size_t>(cur - trace.data());
+  trace.resize(std::max(used + need, 2 * used + kTraceChunk));
+  return trace.data() + used;
+}
+
 }  // namespace
 
 template <bool Trace, bool Shadow>
@@ -79,6 +104,14 @@ StepInfo Cpu::run_jit_loop(std::uint64_t max_steps, bool& deopted,
   // so keeps operand loads out of the store-reload chains.
   Word* const __restrict regs = regs_.data();
   std::vector<Addr>* const trace = trace_;
+  // Trace cursor and the end of the room reserved for it (see the file
+  // header); both stay null in the untraced variants.
+  Addr* tcur = nullptr;
+  Addr* tend = nullptr;
+  if constexpr (Trace) {
+    tcur = trace->data() + trace->size();
+    tend = tcur;
+  }
   const std::uint32_t watch = watch_mask_;
   const Word tsc0 = tsc_;
 
@@ -161,13 +194,21 @@ StepInfo Cpu::run_jit_loop(std::uint64_t max_steps, bool& deopted,
   taddr = regs[kRip];
   goto enter_far;
 
+// Every exit trims the trace vector to the cursor (see the file header).
+#define XJ_TRIM()                                              \
+  do {                                                         \
+    if constexpr (Trace) {                                     \
+      trace->resize(static_cast<std::size_t>(tcur - trace->data())); \
+    }                                                          \
+  } while (0)
+
 // Advance to the next slot of the current superblock.  The retire itself
 // is free: it is pre-aggregated in the next ops' prefixes.
 #define XJ_CUR() (base + static_cast<Addr>(ip - ops))
 #define XJ_NEXT()                            \
   do {                                       \
     if constexpr (Trace) {                   \
-      trace->push_back(XJ_CUR());            \
+      *tcur++ = XJ_CUR();                    \
     }                                        \
     ++ip;                                    \
     goto* labels[ip->handler];               \
@@ -178,7 +219,7 @@ StepInfo Cpu::run_jit_loop(std::uint64_t max_steps, bool& deopted,
 #define XJ_RETIRE_BRANCH()                   \
   do {                                       \
     if constexpr (Trace) {                   \
-      trace->push_back(XJ_CUR());            \
+      *tcur++ = XJ_CUR();                    \
     }                                        \
     executed += ip->pre_retired + 1;         \
     branches += ip->pre_branches + 1;        \
@@ -199,13 +240,21 @@ StepInfo Cpu::run_jit_loop(std::uint64_t max_steps, bool& deopted,
 // would fold every branch/call/ret target into one predictor entry and
 // mispredict constantly).  One budget-and-watch check covers the whole
 // superblock; the entry op's prefixes are subtracted so the accumulators
-// read true totals at the next exit.
+// read true totals at the next exit.  The Trace variants reserve room
+// for the superblock's worst-case retires here, which is what lets every
+// retire store through the cursor unchecked.
 #define XJ_ENTER()                                                        \
   do {                                                                    \
     if ((max_steps - static_cast<std::uint64_t>(executed) <               \
          ip->sb_remaining) |                                              \
         ((ip->sb_regs & watch) != 0)) {                                   \
       goto deopt;                                                         \
+    }                                                                     \
+    if constexpr (Trace) {                                                \
+      if (static_cast<std::size_t>(tend - tcur) < ip->sb_remaining) {     \
+        tcur = reserve_trace(*trace, tcur, ip->sb_remaining);             \
+        tend = trace->data() + trace->size();                             \
+      }                                                                   \
     }                                                                     \
     executed -= ip->pre_retired;                                          \
     branches -= ip->pre_branches;                                         \
@@ -304,6 +353,7 @@ exit_oor:
   // engine's loop head watchdogs first when the budget is spent;
   // otherwise the instruction fetch page-faults.  No masks either way.
   regs[kRip] = taddr;
+  XJ_TRIM();
   flush();
   info.status = StepInfo::Status::Trapped;
   info.trap = static_cast<std::uint64_t>(executed) >= max_steps
@@ -317,6 +367,7 @@ deopt:
   // intersects its registers: flush exact state and hand the rest to
   // run_jit's single-step paths.
   regs[kRip] = XJ_CUR();
+  XJ_TRIM();
   flush();
   deopted = true;
   deopt_remaining = max_steps - static_cast<std::uint64_t>(executed);
@@ -331,6 +382,7 @@ watchdog:
   stores += ip->pre_stores;
   cur = XJ_CUR();
   regs[kRip] = cur;
+  XJ_TRIM();
   flush();
   info.status = StepInfo::Status::Trapped;
   info.trap = Trap{TrapKind::Watchdog, cur, 0};
@@ -347,6 +399,7 @@ trap_exit:
   stores += ip->pre_stores;
   cur = XJ_CUR();
   regs[kRip] = cur;
+  XJ_TRIM();
   flush();
   info.status = StepInfo::Status::Trapped;
   info.trap = tr;
@@ -527,7 +580,7 @@ h_Call: {
     if (tr) goto trap_exit;
   }
   if constexpr (Trace) {
-    trace->push_back(ret - 1);
+    *tcur++ = ret - 1;
   }
   executed += ip->pre_retired + 1;
   branches += ip->pre_branches + 1;
@@ -559,7 +612,7 @@ h_Ret: {
   }
   regs[kRsp] += 1;
   if constexpr (Trace) {
-    trace->push_back(XJ_CUR());
+    *tcur++ = XJ_CUR();
   }
   executed += ip->pre_retired + 1;
   branches += ip->pre_branches + 1;
@@ -592,6 +645,7 @@ h_Hlt:
   stores += ip->pre_stores;
   cur = XJ_CUR();
   regs[kRip] = cur;
+  XJ_TRIM();
   flush();
   info.status = StepInfo::Status::Halted;
   info.rip_before = cur;
@@ -617,7 +671,7 @@ h_Hlt:
   h_Fuse##cname##jname:                              \
   cmpstmt;                                           \
   if constexpr (Trace) {                             \
-    trace->push_back(XJ_CUR());                      \
+    *tcur++ = XJ_CUR();                              \
   }                                                  \
   ++ip;                                              \
   goto h_##jname;
@@ -662,6 +716,7 @@ h_SyncRip:
   goto* labels[ip->target];
 
 #undef XJ_CUR
+#undef XJ_TRIM
 #undef XJ_NEXT
 #undef XJ_RETIRE_BRANCH
 #undef XJ_ALU

@@ -246,6 +246,28 @@ class Memory {
   /// Zero-fills every mapped region.
   void clear();
 
+  /// Change tracking against `snap`, for diffs that only need to look
+  /// where something was written.  False proves that region `i` (or its
+  /// block `b`) holds `snap`'s contents; true means it may not.  The
+  /// answer is precise in two cases: `snap` was captured from this memory
+  /// (a block whose generation equals the image's is unchanged since the
+  /// capture), or this memory was last restored from `snap` (a block
+  /// stamped at or below the generation the restore left is unchanged
+  /// since).  In any other case everything may differ.
+  bool region_may_differ(const Snapshot& snap, std::size_t i) const {
+    if (snap.source_id == id_) return regions_[i].gen != snap.regions[i].gen;
+    const SyncState* s = synced_to(snap, i);
+    return s == nullptr || regions_[i].gen != s->own_gen;
+  }
+  bool block_may_differ(const Snapshot& snap, std::size_t i,
+                        std::size_t b) const {
+    if (snap.source_id == id_) {
+      return regions_[i].block_gen[b] != snap.regions[i].block_gen[b];
+    }
+    const SyncState* s = synced_to(snap, i);
+    return s == nullptr || regions_[i].block_gen[b] > s->own_gen;
+  }
+
  private:
   /// Per-region record of the last restore: which source snapshot state
   /// this region was synced to, and our own generation right after.  A
@@ -266,6 +288,15 @@ class Memory {
   /// it is found by binary search, like an address on a shared page.
   static constexpr Addr kMaxTablePages = Addr{1} << 20;
 
+  /// Region `i`'s sync state when its last restore was from `snap`'s
+  /// image of it (same source, same generation), else nullptr.
+  const SyncState* synced_to(const Snapshot& snap, std::size_t i) const {
+    const SyncState& s = sync_[i];
+    return s.source_id != 0 && s.source_id == snap.source_id &&
+                   s.source_gen == snap.regions[i].gen
+               ? &s
+               : nullptr;
+  }
   void rebuild_page_table();
   const Region* find(Addr a) const;
   Region* find(Addr a);

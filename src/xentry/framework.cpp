@@ -90,22 +90,14 @@ Observation Xentry::judge(const hv::Machine& machine,
 
   if (!obs.run.reached_vm_entry) {
     // Host-mode trap: runtime detection territory.
-    const sim::Trap& trap = obs.run.trap;
-    if (cfg_.runtime_detection) {
-      if (trap.kind == sim::TrapKind::StackCheck) {
-        obs.detected = true;
-        obs.technique = Technique::StackRedundancy;
-        obs.detection_step = obs.run.trap_step;
-      } else if (trap.kind == sim::TrapKind::AssertFailed) {
-        registry_.record_fire(trap.aux);
-        obs.detected = true;
-        obs.technique = Technique::SoftwareAssertion;
-        obs.detection_step = obs.run.trap_step;
-      } else if (parser_.parse(trap) == ExceptionVerdict::Fatal) {
-        obs.detected = true;
-        obs.technique = Technique::HardwareException;
-        obs.detection_step = obs.run.trap_step;
+    const Technique runtime = runtime_technique(obs.run.trap);
+    if (runtime != Technique::None) {
+      if (runtime == Technique::SoftwareAssertion) {
+        registry_.record_fire(obs.run.trap.aux);
       }
+      obs.detected = true;
+      obs.technique = runtime;
+      obs.detection_step = obs.run.trap_step;
     }
     // A trap the parser let pass may still have taken a wild edge on the
     // way: replay the partial trace (no gate, so no range checks).
@@ -133,6 +125,24 @@ Observation Xentry::judge(const hv::Machine& machine,
   }
   record_detection_metrics(obs);
   return obs;
+}
+
+Technique Xentry::runtime_technique(const sim::Trap& trap) const {
+  if (!cfg_.runtime_detection) return Technique::None;
+  if (trap.kind == sim::TrapKind::StackCheck) {
+    return Technique::StackRedundancy;
+  }
+  if (trap.kind == sim::TrapKind::AssertFailed) {
+    return Technique::SoftwareAssertion;
+  }
+  return parser_.parse(trap) == ExceptionVerdict::Fatal
+             ? Technique::HardwareException
+             : Technique::None;
+}
+
+bool Xentry::reads_trace(const hv::RunResult& run) const {
+  return cfi_active() && (run.reached_vm_entry ||
+                          runtime_technique(run.trap) == Technique::None);
 }
 
 void Xentry::check_control_flow(const hv::Machine& machine,

@@ -153,7 +153,16 @@ class Xentry {
                     const std::array<sim::Word, sim::kNumArchRegs>&
                         final_regs);
 
+  /// True when judge() reads the trace of a run that ended in `run`: CFI
+  /// is active and the run either reached VM entry or ended in a trap
+  /// runtime detection does not flag.  Otherwise the trace does not
+  /// affect the Observation, so a caller may pass a truncated one.
+  bool reads_trace(const hv::RunResult& run) const;
+
  private:
+  /// The runtime-detection verdict on a host-mode trap (None when
+  /// runtime detection is off or lets the trap pass).
+  Technique runtime_technique(const sim::Trap& trap) const;
   void record_detection_metrics(const Observation& obs);
   void check_control_flow(const hv::Machine& machine,
                           const hv::Activation& activation,

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+#include <vector>
+
 namespace xentry::hv {
 namespace {
 
@@ -345,6 +350,140 @@ TEST(MachineTest, StackIsExcludedFromPersistentDiff) {
   Machine a, b;
   b.memory().poke(L::kStackBase + 5, 77);
   EXPECT_TRUE(Machine::diff_persistent_state(a, b).empty());
+}
+
+void expect_same_diffs(const std::vector<StateDiff>& got,
+                       const std::vector<StateDiff>& want, int round) {
+  ASSERT_EQ(got.size(), want.size()) << "round " << round;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].addr, want[i].addr) << "round " << round;
+    EXPECT_EQ(got[i].golden, want[i].golden) << "round " << round;
+    EXPECT_EQ(got[i].faulty, want[i].faulty) << "round " << round;
+    EXPECT_EQ(got[i].cls, want[i].cls) << "round " << round;
+    EXPECT_EQ(got[i].domain, want[i].domain) << "round " << round;
+  }
+}
+
+TEST(MachineTest, DirtyBlockDiffMatchesFullCompare) {
+  // The faulted-run setup: `pre` is captured from the golden machine and
+  // the faulty machine restored from it, then both run and get random
+  // pokes on every region, the stack included (which neither compare
+  // reports).  Diffing only the blocks either side wrote since `pre` must
+  // give the full compare's diffs in the same order.  Some rounds skip
+  // the faulty restore, so its last restore is from an older image and
+  // the compare has to fall back to the words.
+  std::mt19937_64 rng(0xd1ffb10c);
+  Machine golden, faulty;
+  for (Machine* m : {&golden, &faulty}) {
+    m->set_execution_engine(sim::EngineKind::Jit);
+  }
+  const auto reasons = all_exit_reasons();
+  const auto& regions = golden.memory().regions();
+  Machine::Snapshot pre;
+  std::size_t diffs_seen = 0, stack_pokes = 0;
+  for (int round = 0; round < 300; ++round) {
+    const ExitReason& reason = reasons[rng() % reasons.size()];
+    golden.run(golden.make_activation(reason, rng()));  // advance the stream
+    const Activation act = golden.make_activation(reason, rng());
+    golden.snapshot_into(pre);
+    if (round % 7 != 3) faulty.restore(pre);
+    golden.run(act);
+    const Injection inj{rng() % 64, static_cast<sim::Reg>(rng() % 18),
+                        static_cast<int>(rng() % 64)};
+    RunOptions opts;
+    opts.injection = &inj;
+    faulty.run(act, opts);
+    const int pokes = static_cast<int>(rng() % 12);
+    for (int k = 0; k < pokes; ++k) {
+      const std::size_t r = rng() % regions.size();
+      const sim::Addr a = regions[r].base + rng() % regions[r].size;
+      Machine& m = (rng() & 1) != 0 ? golden : faulty;
+      // Sometimes rewrite the value already there: a written block whose
+      // words still agree.
+      const sim::Word v = (rng() & 3) == 0 ? m.memory().peek(a) : rng();
+      m.memory().poke(a, v);
+      stack_pokes += regions[r].name == "stack" ? 1 : 0;
+    }
+    const auto want = Machine::diff_persistent_state(golden, faulty);
+    expect_same_diffs(Machine::diff_persistent_state(golden, faulty, pre),
+                      want, round);
+    diffs_seen += want.size();
+    if (::testing::Test::HasFailure()) break;
+  }
+  EXPECT_GT(diffs_seen, 100u);
+  EXPECT_GT(stack_pokes, 10u);
+}
+
+TEST(MachineTest, TraceLimitTruncatesOnlyTheTrace) {
+  // A run whose trace stops at RunOptions::trace_limit is the same run:
+  // result, registers and memory equal the unbounded run's, the trace is
+  // its first trace_limit entries, and trace_truncated says whether any
+  // were left out.  Limits fall before, inside and after each engine run
+  // of the injection path (prefix, watch window, rest), on both engines.
+  std::mt19937_64 rng(0x7ace);
+  const auto reasons = all_exit_reasons();
+  int truncated = 0;
+  for (const sim::EngineKind engine :
+       {sim::EngineKind::Reference, sim::EngineKind::Jit}) {
+    Machine whole, bounded;
+    whole.set_execution_engine(engine);
+    bounded.set_execution_engine(engine);
+    const Machine::Snapshot boot = whole.snapshot();
+    for (int i = 0; i < 60; ++i) {
+      const Activation act =
+          whole.make_activation(reasons[rng() % reasons.size()], rng());
+      whole.restore(boot);
+      std::vector<sim::Addr> full;
+      RunOptions opts;
+      opts.trace = &full;
+      const RunResult clean = whole.run(act, opts);
+      const Injection inj{rng() % (clean.steps + 1),
+                          static_cast<sim::Reg>(rng() % 18),
+                          static_cast<int>(rng() % 64)};
+      const bool inject = i % 3 != 0;
+      opts.injection = inject ? &inj : nullptr;
+      whole.restore(boot);
+      full.clear();
+      const RunResult want = whole.run(act, opts);
+      ASSERT_FALSE(want.trace_truncated);
+      const std::uint64_t ran = full.size();
+      for (const std::uint64_t limit :
+           {std::uint64_t{0}, std::uint64_t{1}, inj.at_step, inj.at_step + 1,
+            ran / 2, ran - std::min<std::uint64_t>(ran, 1), ran, ran + 1}) {
+        bounded.restore(boot);
+        std::vector<sim::Addr> trace = {0xfeed};  // appended to, not replaced
+        RunOptions b = opts;
+        b.trace = &trace;
+        b.trace_limit = limit;
+        const RunResult got = bounded.run(act, b);
+        const std::string what = "engine " +
+                                 std::to_string(static_cast<int>(engine)) +
+                                 " run " + std::to_string(i) + " limit " +
+                                 std::to_string(limit);
+        EXPECT_EQ(got.reached_vm_entry, want.reached_vm_entry) << what;
+        EXPECT_EQ(got.trap.kind, want.trap.kind) << what;
+        EXPECT_EQ(got.trap.fault_addr, want.trap.fault_addr) << what;
+        EXPECT_EQ(got.steps, want.steps) << what;
+        EXPECT_EQ(got.trap_step, want.trap_step) << what;
+        EXPECT_EQ(got.counters, want.counters) << what;
+        EXPECT_EQ(got.injected, want.injected) << what;
+        EXPECT_EQ(got.activated, want.activated) << what;
+        EXPECT_EQ(got.activation_step, want.activation_step) << what;
+        EXPECT_EQ(bounded.cpu().regs(), whole.cpu().regs()) << what;
+        EXPECT_TRUE(bounded.memory().snapshot() == whole.memory().snapshot())
+            << what;
+        const std::size_t kept = std::min<std::uint64_t>(ran, limit);
+        EXPECT_EQ(got.trace_truncated, ran > limit) << what;
+        ASSERT_EQ(trace.size(), 1 + kept) << what;
+        EXPECT_TRUE(std::equal(full.begin(), full.begin() + kept,
+                               trace.begin() + 1))
+            << what;
+        truncated += got.trace_truncated ? 1 : 0;
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  EXPECT_GT(truncated, 500);
 }
 
 TEST(MachineTest, BadVcpuIndexThrows) {

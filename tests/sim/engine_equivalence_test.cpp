@@ -18,6 +18,7 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/cfg.hpp"
@@ -721,6 +722,192 @@ TEST(EngineEquivalenceTest, CompileRejectsInvalidTilings) {
   EXPECT_THROW(jit::compile(prog, {{0, 2}}), std::invalid_argument);
   // Out of range.
   EXPECT_THROW(jit::compile(prog, {{0, 2}, {3, 4}}), std::invalid_argument);
+}
+
+// -- Trace cursor -------------------------------------------------------------
+//
+// The jit's Trace variants store retired rips through a cursor into room
+// reserved at superblock entry and trim the caller's vector at every exit.
+// These runs compare the jit's trace with the reference engine's on every
+// exit kind, starting from caller vectors that already hold entries or
+// have little or no capacity.
+
+/// How a trace-cursor program ends.
+enum class TraceExit {
+  Hlt,
+  Trap,
+  Assertion,
+  WatchdogAtHlt,  ///< the budget runs out exactly at the hlt
+  DeoptTail,      ///< the budget runs out mid-superblock
+  WatchStop,
+  OffImage,
+  OffEnd,
+};
+
+constexpr std::size_t kTraceLong = 150;  ///< the straight-line run's length
+
+/// A short warm-up loop (several superblock entries, so reservations grow
+/// past what they use), a kTraceLong-instruction straight-line run inside
+/// the same superblock (a reservation larger than any chunk), then the
+/// exit.  Nothing before the exit touches rdx, the watched register.
+Program trace_exit_program(TraceExit exit) {
+  Assembler as(kCodeBase);
+  as.movi(Reg::rcx, 8);
+  const auto warm = as.here();
+  as.inc(Reg::rax);
+  as.dec(Reg::rcx);
+  as.jne(warm);
+  for (std::size_t i = 0; i < kTraceLong; ++i) as.inc(Reg::rbx);
+  switch (exit) {
+    case TraceExit::Hlt:
+    case TraceExit::WatchdogAtHlt:
+      as.hlt();
+      break;
+    case TraceExit::Trap:
+      as.movi(Reg::rsi, 0x7fff0000);
+      as.load(Reg::rdi, Reg::rsi);
+      as.hlt();
+      break;
+    case TraceExit::Assertion:
+      as.assert_eq(Reg::rbx, 0, 7);
+      as.hlt();
+      break;
+    case TraceExit::DeoptTail: {
+      const auto spin = as.make_label();
+      as.jmp(spin);
+      as.bind(spin);
+      for (int i = 0; i < 20; ++i) as.inc(Reg::rsi);
+      as.jmp(spin);
+      break;
+    }
+    case TraceExit::WatchStop: {
+      const auto next = as.make_label();
+      as.jmp(next);
+      as.bind(next);
+      as.inc(Reg::rbx);
+      as.inc(Reg::rbx);
+      as.inc(Reg::rdx);  // the watch stops before this one
+      as.hlt();
+      break;
+    }
+    case TraceExit::OffImage:
+      as.movi(Reg::rsi, 0x1000);
+      as.jmp_reg(Reg::rsi);
+      break;
+    case TraceExit::OffEnd:
+      break;  // the straight-line run falls off the image
+  }
+  return as.finish();
+}
+
+struct TracedRun {
+  StepInfo info;
+  std::uint64_t steps = 0;
+  std::vector<Addr> trace;
+};
+
+/// Runs `prog` from its base once, into a trace vector that starts with
+/// `prefix` entries and at least `capacity` capacity.
+TracedRun run_traced(const Program& prog, EngineKind kind,
+                     const std::shared_ptr<const jit::CompiledProgram>& cp,
+                     std::size_t prefix, std::size_t capacity,
+                     std::uint64_t max_steps, std::uint32_t watch = 0) {
+  Memory mem = make_memory();
+  Cpu cpu(&prog, &mem);
+  cpu.reset(prog.base(), kStackTop);
+  if (cp != nullptr) cpu.set_compiled(cp);
+  cpu.set_engine(kind);
+  TracedRun r;
+  r.trace.reserve(capacity);
+  for (std::size_t i = 0; i < prefix; ++i) r.trace.push_back(0xabc000 + i);
+  cpu.set_trace(&r.trace);
+  cpu.set_watch(watch);
+  r.info = cpu.run(max_steps);
+  r.steps = cpu.steps_executed();
+  return r;
+}
+
+/// Caller vectors the cursor must append to: {entries already held,
+/// capacity reserved}.
+constexpr std::pair<std::size_t, std::size_t> kTraceStarts[] = {
+    {0, 0}, {0, 1}, {0, 3}, {5, 5}, {5, 4096}, {200, 200},
+};
+
+TEST(EngineEquivalenceTest, TraceCursorMatchesReferenceOnEveryExit) {
+  // Steps before the hlt: movi, 8 x (inc, dec, jne), the straight line.
+  const std::uint64_t to_hlt = 1 + 8 * 3 + kTraceLong;
+  struct Case {
+    TraceExit exit;
+    std::uint64_t max_steps;
+    StepInfo::Status status;
+    TrapKind trap;
+  };
+  const Case cases[] = {
+      {TraceExit::Hlt, 100000, StepInfo::Status::Halted, TrapKind::None},
+      {TraceExit::Trap, 100000, StepInfo::Status::Trapped,
+       TrapKind::PageFault},
+      {TraceExit::Assertion, 100000, StepInfo::Status::Trapped,
+       TrapKind::AssertFailed},
+      {TraceExit::WatchdogAtHlt, to_hlt, StepInfo::Status::Trapped,
+       TrapKind::Watchdog},
+      {TraceExit::DeoptTail, 1000, StepInfo::Status::Trapped,
+       TrapKind::Watchdog},
+      {TraceExit::WatchStop, 100000, StepInfo::Status::Ok, TrapKind::None},
+      {TraceExit::OffImage, 100000, StepInfo::Status::Trapped,
+       TrapKind::PageFault},
+      {TraceExit::OffEnd, 100000, StepInfo::Status::Trapped,
+       TrapKind::PageFault},
+  };
+  const std::uint32_t watch = reg_bit(Reg::rdx);
+  for (const Case& c : cases) {
+    const Program prog = trace_exit_program(c.exit);
+    const auto compiled = compile_jit(prog);
+    const std::uint32_t w = c.exit == TraceExit::WatchStop ? watch : 0;
+    for (const auto& [prefix, capacity] : kTraceStarts) {
+      const std::string what = "exit " +
+                               std::to_string(static_cast<int>(c.exit)) +
+                               " prefix " + std::to_string(prefix) +
+                               " capacity " + std::to_string(capacity);
+      const TracedRun ref = run_traced(prog, EngineKind::Reference, nullptr,
+                                       prefix, capacity, c.max_steps, w);
+      const TracedRun jit = run_traced(prog, EngineKind::Jit, compiled,
+                                       prefix, capacity, c.max_steps, w);
+      EXPECT_EQ(ref.info.status, c.status) << what;
+      EXPECT_EQ(ref.info.trap.kind, c.trap) << what;
+      EXPECT_EQ(jit.info.status, ref.info.status) << what;
+      EXPECT_EQ(jit.info.trap.kind, ref.info.trap.kind) << what;
+      EXPECT_EQ(jit.info.rip_before, ref.info.rip_before) << what;
+      EXPECT_EQ(jit.steps, ref.steps) << what;
+      // One entry per retired instruction, after the caller's entries.
+      ASSERT_EQ(ref.trace.size(), prefix + ref.steps) << what;
+      EXPECT_EQ(jit.trace, ref.trace) << what;
+    }
+  }
+}
+
+TEST(EngineEquivalenceTest, TraceCursorWatchdogLoopOf100000Steps) {
+  // A hang at the campaign's watchdog budget: every one of the 100,000
+  // retires lands in the trace, and the run ends in the deopt tail.
+  Assembler as(kCodeBase);
+  const auto loop = as.here();
+  as.inc(Reg::rax);
+  as.movi(Reg::rbx, kDataBase + 4);
+  as.store(Reg::rbx, Reg::rax);
+  as.cmpi(Reg::rax, 0);
+  as.jne(loop);
+  as.jmp(loop);
+  const Program prog = as.finish();
+  const auto compiled = compile_jit(prog);
+  for (const auto& [prefix, capacity] : kTraceStarts) {
+    const TracedRun ref = run_traced(prog, EngineKind::Reference, nullptr,
+                                     prefix, capacity, 100000);
+    const TracedRun jit = run_traced(prog, EngineKind::Jit, compiled, prefix,
+                                     capacity, 100000);
+    EXPECT_EQ(jit.info.trap.kind, TrapKind::Watchdog);
+    EXPECT_EQ(jit.steps, 100000u);
+    ASSERT_EQ(jit.trace.size(), prefix + 100000u);
+    EXPECT_EQ(jit.trace, ref.trace) << "prefix " << prefix;
+  }
 }
 
 }  // namespace
