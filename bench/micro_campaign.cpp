@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -166,8 +167,8 @@ CampaignScore time_campaign(int injections, int shards, std::uint64_t seed,
   score.digest = bench::records_digest(records);
   score.weighted = fault::weighted_rates(records);
   if (!metrics_out.empty()) {
-    // Atomic publication: tailing readers (the fleet plane's pattern)
-    // see either the previous report or this one, never a torn write.
+    // Atomic publication: a reader tailing the file sees either the
+    // previous report or this one, never a torn write.
     std::ostringstream os;
     res.metrics.write_json(os);
     obs::write_file_atomic(metrics_out, os.str());
@@ -346,9 +347,16 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const CampaignScore campaign =
-      time_campaign(injections, shards, seed, heartbeat_sec, engine,
-                    sampling, metrics_out, forensics_out, streaming);
+  CampaignScore campaign;
+  try {
+    campaign = time_campaign(injections, shards, seed, heartbeat_sec, engine,
+                             sampling, metrics_out, forensics_out, streaming);
+  } catch (const std::exception& e) {
+    // A bad config or a journal that cannot be resumed: fail with the
+    // reason instead of std::terminate.
+    std::fprintf(stderr, "micro_campaign: %s\n", e.what());
+    return 1;
+  }
   const GoldenScore golden = time_golden(1.0);
   const SnapshotScore snap = time_snapshot(1.0);
 

@@ -306,8 +306,8 @@ int cmd_verify(const Flags& f) {
       // journal carry the writer's own obs.sink.* counters.  A nonzero
       // drop count means frames never reached the stream, so a clean
       // digest over what DID land would be a hollow verification.
-      // Missing sidecars are fine (metrics off, or units owned by
-      // another fleet worker).
+      // Missing sidecars are fine (metrics off, or units run by another
+      // partitioned campaign).
       obs::MetricsRegistry side;
       for (std::size_t s = 0; s < journal.shards.size(); ++s) {
         const auto text =

@@ -3,7 +3,6 @@
 #include "fault/checkpoint.hpp"
 #include "fault/record_io.hpp"
 #include "fault/sampler.hpp"
-#include "obs/fleet_view.hpp"
 #include "obs/snapshot.hpp"
 
 #include <algorithm>
@@ -11,6 +10,7 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -55,14 +55,14 @@ void validate_campaign_config(const CampaignConfig& cfg) {
          std::to_string(cfg.shards));
   }
   if (cfg.fleet.unit_count < 0) {
-    fail("fleet.unit_count must be >= 0 (0 = not a fleet worker), got " +
+    fail("fleet.unit_count must be >= 0 (0 = run every shard), got " +
          std::to_string(cfg.fleet.unit_count));
   }
   if (cfg.fleet.unit_count > 0) {
     if (cfg.streaming.records_path.empty()) {
-      fail("fleet.unit_count is set without streaming.records_path — fleet "
-           "work units only exist as durable shard streams; point "
-           "records_path at the shared campaign directory");
+      fail("fleet.unit_count is set without streaming.records_path — work "
+           "units only exist as durable shard streams; point records_path "
+           "at the shared campaign directory");
     }
     if (cfg.injections > 0 && cfg.fleet.unit_count > cfg.injections) {
       fail("fleet.unit_count " + std::to_string(cfg.fleet.unit_count) +
@@ -71,8 +71,8 @@ void validate_campaign_config(const CampaignConfig& cfg) {
            "injections, so the partitions could never match");
     }
     if (cfg.fleet.units.empty()) {
-      fail("fleet.unit_count is set but fleet.units is empty — this process "
-           "would own no work units");
+      fail("fleet.unit_count is set but fleet.units is empty — this "
+           "campaign would run no work units");
     }
     std::vector<bool> seen(static_cast<std::size_t>(cfg.fleet.unit_count));
     for (int u : cfg.fleet.units) {
@@ -89,7 +89,7 @@ void validate_campaign_config(const CampaignConfig& cfg) {
     }
   } else if (!cfg.fleet.units.empty()) {
     fail("fleet.units is set without fleet.unit_count — set unit_count to "
-         "the fleet-wide size of the unit space");
+         "the size of the unit space");
   }
   if (cfg.obs.flight_recorder && cfg.obs.flight_recorder_depth <= 0) {
     fail("obs.flight_recorder enabled with non-positive "
@@ -126,11 +126,6 @@ void validate_campaign_config(const CampaignConfig& cfg) {
   if (!(cfg.heartbeat.interval_sec >= 0) ||
       std::isinf(cfg.heartbeat.interval_sec)) {
     fail("heartbeat.interval_sec must be finite and >= 0");
-  }
-  if (!(cfg.heartbeat.straggler_fraction >= 0.0 &&
-        cfg.heartbeat.straggler_fraction < 1.0)) {
-    fail("heartbeat.straggler_fraction must be within [0, 1), got " +
-         std::to_string(cfg.heartbeat.straggler_fraction));
   }
   if (cfg.xentry.transition_detection && cfg.model.empty() &&
       !cfg.collect_dataset) {
@@ -210,6 +205,10 @@ void validate_campaign_config(const CampaignConfig& cfg) {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// A shard whose recent rate drops below this fraction of the median
+/// across the unfinished shards is flagged as a straggler.
+constexpr double kStragglerFraction = 0.5;
 
 /// Per-shard progress cells for the heartbeat, padded to a cache line so
 /// shards never share one.  Relaxed increments: the monitor reads a
@@ -699,12 +698,12 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
     }
   }
 
-  // Fleet mode pins the shard space to the fleet-wide unit count (the
-  // same quotas and seeds the single-process run with shards = unit_count
-  // uses) and this process executes only its assigned subset.
-  const bool fleet = cfg.fleet.unit_count > 0;
+  // A unit partition pins the shard space to the unit count (the quotas
+  // and seeds of the run with shards = unit_count) and executes only the
+  // assigned subset.
+  const bool partitioned = cfg.fleet.unit_count > 0;
   int shards = cfg.shards;
-  if (fleet) {
+  if (partitioned) {
     shards = cfg.fleet.unit_count;
   } else {
     if (shards <= 0) {
@@ -713,8 +712,8 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
     }
     if (shards > cfg.injections && cfg.injections > 0) shards = cfg.injections;
   }
-  std::vector<int> active;  // shard indices this process runs, ascending
-  if (fleet) {
+  std::vector<int> active;  // shard indices this call runs, ascending
+  if (partitioned) {
     active = cfg.fleet.units;
     std::sort(active.begin(), active.end());
   } else {
@@ -737,7 +736,7 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
   header.importance = cfg.sampling.importance;
   header.checkpoint_every = st.checkpoint_every;
   header.records_format = static_cast<std::uint8_t>(st.records_format);
-  if (fleet) header.units = active;
+  if (partitioned) header.units = active;
   JournalContents journal_state;
   bool resuming = false;
   if (!st.checkpoint_path.empty()) {
@@ -764,7 +763,7 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
     so.format = st.records_format;
     so.shard_count = static_cast<std::size_t>(shards);
     so.buffer_bytes = st.sink_buffer_bytes;
-    if (fleet) {
+    if (partitioned) {
       so.active_shards.reserve(active.size());
       for (int u : active) {
         so.active_shards.push_back(static_cast<std::size_t>(u));
@@ -813,8 +812,8 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
     return static_cast<std::uint64_t>(
         cfg.injections / shards + (u < cfg.injections % shards ? 1 : 0));
   };
-  // This process's own workload: in fleet mode the sum of the assigned
-  // units' quotas, otherwise exactly cfg.injections.
+  // This call's own workload: under a unit partition the sum of the
+  // assigned units' quotas, otherwise exactly cfg.injections.
   std::uint64_t hb_total = 0;
   for (int u : active) hb_total += shard_quota(u);
   const auto make_sample = [&](bool last) {
@@ -882,7 +881,7 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
           }
         }
         const std::vector<bool> lag =
-            obs::flag_stragglers(rates, cfg.heartbeat.straggler_fraction);
+            obs::flag_stragglers(rates, kStragglerFraction);
         for (std::size_t j = 0; j < unfinished.size(); ++j) {
           if (lag[j]) {
             s.shards[unfinished[j]].straggler = true;
@@ -904,13 +903,18 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
   }
 
   std::vector<CampaignResult> partials(static_cast<std::size_t>(shards));
+  // A shard that throws (unparsable journal state, unopenable sidecar,
+  // mismatched machine image) must not escape its thread, where it would
+  // terminate the process: each shard parks its exception here and the
+  // first in shard order is rethrown once every shard has joined.
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(shards));
   {
     std::vector<std::jthread> threads;
     threads.reserve(active.size());
     for (const int s : active) {
-      threads.emplace_back([&cfg, &profile, &partials, &progress, &sink,
-                            &journal, &journal_state, resuming, s, shards,
-                            epoch] {
+      threads.emplace_back([&cfg, &profile, &partials, &errors, &progress,
+                            &sink, &journal, &journal_state, resuming, s,
+                            shards, epoch] {
         ShardStreaming ss;
         ss.sink = sink.get();
         ss.journal = journal.get();
@@ -918,12 +922,19 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
           const auto& ck = journal_state.shards[static_cast<std::size_t>(s)];
           if (ck.has_value()) ss.resume = &*ck;
         }
-        partials[static_cast<std::size_t>(s)] =
-            run_shard(cfg, profile, s, shards, epoch,
-                      progress ? &progress[s] : nullptr, ss);
+        try {
+          partials[static_cast<std::size_t>(s)] =
+              run_shard(cfg, profile, s, shards, epoch,
+                        progress ? &progress[s] : nullptr, ss);
+        } catch (...) {
+          errors[static_cast<std::size_t>(s)] = std::current_exception();
+        }
       });
     }
   }  // jthreads join here
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);  // the monitor jthread stops on unwind
+  }
 
   if (heartbeat_on) {
     monitor.request_stop();

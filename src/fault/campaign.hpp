@@ -51,14 +51,14 @@ struct HeartbeatSample {
   /// Record-sink frames dropped across all shards (nonzero only when a
   /// sink failed or hit a capacity cap — a healthy file sink never drops).
   std::uint64_t sink_dropped = 0;
-  /// Per-shard progress, one entry per *running* shard of this process,
-  /// in shard order.  Feeds the straggler monitor and the fleet plane.
+  /// Per-shard progress, one entry per *running* shard of this campaign,
+  /// in shard order.  Feeds the straggler monitor.
   struct ShardThroughput {
     int shard = -1;
     std::uint64_t completed = 0;
     double recent_per_sec = 0;  ///< since the previous heartbeat
-    /// True when this shard's recent rate fell below
-    /// `Heartbeat::straggler_fraction` of the median across shards.
+    /// True when this shard's recent rate fell below half the median
+    /// across the campaign's unfinished shards.
     bool straggler = false;
   };
   std::vector<ShardThroughput> shards;
@@ -82,15 +82,14 @@ struct CampaignConfig {
   std::uint64_t seed = 1;
   int shards = 0;  ///< 0: hardware concurrency
 
-  /// Fleet partition (src/fault/fleet.hpp).  A fleet campaign fixes the
-  /// shard space to `unit_count` deterministic work units — the same
-  /// quotas and seeds the equivalent single-process run with
-  /// `shards = unit_count` would use — and this process executes only the
-  /// `units` subset.  Unit streams land in the single-process shard-file
-  /// layout (`<records_path>.shard<u>.*`), so the files from any worker
-  /// partition concatenate in unit order to the identical byte stream.
-  /// Requires streaming.records_path; `units` must be unique and within
-  /// [0, unit_count).  unit_count == 0 disables fleet mode.
+  /// Unit partition.  Fixes the shard space to `unit_count` work units —
+  /// the quotas and seeds of the run with `shards = unit_count` — and
+  /// executes only the `units` subset.  Unit streams land in that run's
+  /// shard-file layout (`<records_path>.shard<u>.*`), so campaigns that
+  /// together cover every unit leave the identical byte stream.  The
+  /// subset is part of the checkpoint journal's identity.  Requires
+  /// streaming.records_path; `units` must be unique and within
+  /// [0, unit_count).  unit_count == 0 runs every shard.
   struct FleetConfig {
     int unit_count = 0;
     std::vector<int> units;
@@ -174,10 +173,6 @@ struct CampaignConfig {
   struct Heartbeat {
     double interval_sec = 0;
     std::function<void(const HeartbeatSample&)> callback;
-    /// A shard whose recent rate drops below this fraction of the median
-    /// across this process's shards is flagged as a straggler in
-    /// HeartbeatSample::shards.  Must be in [0, 1); 0 disables flagging.
-    double straggler_fraction = 0.5;
   };
   Heartbeat heartbeat{};
 };

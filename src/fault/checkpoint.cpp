@@ -102,8 +102,8 @@ std::string header_line(const CheckpointHeader& h) {
   append_u64(line, static_cast<std::uint64_t>(h.checkpoint_every));
   line += ",\"fmt\":";
   append_u64(line, h.records_format);
-  // Only fleet workers carry a unit assignment; omitting the key keeps
-  // single-process journals byte-identical to pre-fleet ones.
+  // Only partitioned campaigns carry a unit assignment; omitting the key
+  // keeps every other journal byte-identical to the unpartitioned format.
   if (!h.units.empty()) {
     line += ",\"units\":[";
     bool first = true;

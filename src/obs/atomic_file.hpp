@@ -1,10 +1,8 @@
 // Atomic whole-file publication (write-to-temp + rename).
 //
-// The fleet observability plane is built on files that one process
-// rewrites on a cadence while others tail them: the coordinator's
-// status.json, each worker's heartbeat file, micro_campaign's
-// --metrics-out.  A plain truncate-and-write lets a reader observe a
-// torn prefix; POSIX rename(2) within one directory is atomic, so
+// Reports such as micro_campaign's --metrics-out may be rewritten while
+// another process reads them.  A plain truncate-and-write lets a reader
+// observe a torn prefix; POSIX rename(2) within one directory is atomic, so
 // writing the full content to a sibling temp file and renaming it over
 // the target guarantees every reader sees either the old file or the
 // new one, never a mix.

@@ -1,5 +1,6 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <ostream>
 
@@ -169,6 +170,26 @@ void MetricsRegistry::write_json(std::ostream& os) const {
     h.write_json(os);
   }
   os << (first ? "}" : "\n  }") << "\n}\n";
+}
+
+double median(std::vector<double> values) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  if (values.size() % 2 == 1) return values[mid];
+  return 0.5 * (values[mid - 1] + values[mid]);
+}
+
+std::vector<bool> flag_stragglers(const std::vector<double>& rates,
+                                  double fraction) {
+  std::vector<bool> flagged(rates.size(), false);
+  if (fraction <= 0.0 || rates.size() < 2) return flagged;
+  const double med = median(rates);
+  if (!(med > 0.0)) return flagged;
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    flagged[i] = rates[i] < fraction * med;
+  }
+  return flagged;
 }
 
 }  // namespace xentry::obs

@@ -17,6 +17,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace xentry::obs {
 
@@ -176,5 +177,17 @@ class MetricsRegistry {
   std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, Log2Histogram, std::less<>> histograms_;
 };
+
+/// Median of `values` (by copy; the argument order does not matter).
+/// Returns 0 for an empty vector; averages the middle pair for even n.
+double median(std::vector<double> values);
+
+/// Flags entries whose rate falls below `fraction` times the median of
+/// `rates`.  No entry is flagged when `fraction` <= 0, when fewer than
+/// two rates exist (a lone shard has no peers to lag behind), or when
+/// the median itself is 0 (everyone equally stuck is a stall, not a
+/// straggle).
+std::vector<bool> flag_stragglers(const std::vector<double>& rates,
+                                  double fraction);
 
 }  // namespace xentry::obs

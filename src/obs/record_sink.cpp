@@ -48,13 +48,21 @@ ShardedFileSink::ShardedFileSink(Options opts)
   for (std::size_t s = 0; s < opts.shard_count; ++s) {
     Shard& sh = shards_[s];
     sh.path = shard_path(opts.base_path, opts.format, s);
-    if (!sh.active) continue;  // another worker's stream: never opened
+    if (!sh.active) continue;  // a unit this campaign does not run
     sh.buffer.reserve(buffer_bytes_);
     if (resume) {
       // Truncate to the last durable (journaled) offset: anything past it
-      // is a torn tail from the killed run and must not survive.
+      // is a torn tail from the killed run and must not survive.  An
+      // offset past the file's end names bytes that were never written
+      // (a corrupt journal or a truncated file); resize_file would
+      // zero-extend the file, so the shard fails instead.
       const std::uint64_t off = opts.resume_offsets[s];
       std::error_code ec;
+      const std::uintmax_t size = std::filesystem::file_size(sh.path, ec);
+      if (ec || off > size) {
+        sh.failed = true;
+        continue;
+      }
       std::filesystem::resize_file(sh.path, off, ec);
       if (ec) {
         sh.failed = true;

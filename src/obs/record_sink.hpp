@@ -76,7 +76,9 @@ class RecordSink {
 /// One file per shard: `<base>.shard<N>.<jsonl|bin>`.  A fresh sink
 /// truncates; a resume sink truncates each file to the journal's durable
 /// offset and appends from there, so replayed frames overwrite nothing
-/// and torn tails vanish.
+/// and torn tails vanish.  A resume offset past a file's end fails that
+/// shard (ok() is false): the file never held the bytes the journal
+/// claims.
 class ShardedFileSink final : public RecordSink {
  public:
   struct Options {
@@ -87,9 +89,9 @@ class ShardedFileSink final : public RecordSink {
     /// When non-empty (size == shard_count), resume mode: truncate each
     /// shard file to this offset and append.
     std::vector<std::uint64_t> resume_offsets;
-    /// Fleet partition: when non-empty, only these shard indices get a
+    /// Unit partition: when non-empty, only these shard indices get a
     /// file opened (and truncated/resumed); the rest stay closed so a
-    /// worker process never touches another worker's unit streams.
+    /// campaign never touches the streams of units it does not run.
     /// Appends to an inactive shard drop.  Empty = all shards active.
     std::vector<std::size_t> active_shards;
   };

@@ -4,13 +4,16 @@
 // same merged (timing-stripped) metrics.  `streaming.abort_after` is the
 // in-process SIGKILL: the shard drops its buffered sink bytes and returns
 // without a final flush or checkpoint, exactly what a killed process
-// leaves behind.
+// leaves behind.  The same contract covers the unit partition
+// (CampaignConfig::fleet): campaigns that each run a subset of the work
+// units, killed and resumed, leave the files of one unpartitioned run.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -41,6 +44,21 @@ std::vector<InjectionRecord> decode_stream(const std::string& base,
     EXPECT_TRUE(decode_records(slurp(path), fmt, recs)) << path;
   }
   return recs;
+}
+
+void spit(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+}
+
+/// Replaces every occurrence of `from` in `text` with `to`.
+std::string replace_all(std::string text, const std::string& from,
+                        const std::string& to) {
+  for (std::size_t at = text.find(from); at != std::string::npos;
+       at = text.find(from, at + to.size())) {
+    text.replace(at, from.size(), to);
+  }
+  return text;
 }
 
 std::string stripped_metrics_json(const obs::MetricsRegistry& reg) {
@@ -85,6 +103,44 @@ class ResumeTest : public ::testing::Test {
       cfg.sampling.importance = true;
     }
     return cfg;
+  }
+
+  /// Two campaigns over one records_path, each running half of a
+  /// four-unit space (the second killed and resumed), against one run
+  /// with shards = 4: every unit's stream is byte-identical to the
+  /// reference's shard stream, so the digests match too.
+  void expect_partitioned_runs_match(bool importance) {
+    const CampaignResult ref = run_campaign(make_cfg("ref", 4, importance));
+
+    const std::vector<int> units[2] = {{0, 2}, {1, 3}};
+    CampaignConfig half[2];
+    for (int h = 0; h < 2; ++h) {
+      half[h] = make_cfg("part", 0, importance);
+      half[h].streaming.checkpoint_path =
+          dir_ + "/part" + std::to_string(h) + ".ckpt";
+      half[h].fleet.unit_count = 4;
+      half[h].fleet.units = units[h];
+    }
+    half[1].streaming.abort_after = 21;
+    const CampaignResult cut = run_campaign(half[1]);
+    EXPECT_FALSE(cut.resumed);
+    EXPECT_FALSE(run_campaign(half[0]).resumed);
+    half[1].streaming.abort_after = 0;
+    const CampaignResult resumed = run_campaign(half[1]);
+    EXPECT_TRUE(resumed.resumed);
+    EXPECT_LT(cut.records_streamed, resumed.records_streamed);
+
+    for (int u = 0; u < 4; ++u) {
+      const auto up = static_cast<std::size_t>(u);
+      EXPECT_EQ(slurp(obs::ShardedFileSink::shard_path(
+                    dir_ + "/part", obs::RecordFormat::kJsonl, up)),
+                slurp(obs::ShardedFileSink::shard_path(
+                    dir_ + "/ref", obs::RecordFormat::kJsonl, up)))
+          << "unit " << u;
+    }
+    EXPECT_EQ(records_digest(
+                  decode_stream(dir_ + "/part", obs::RecordFormat::kJsonl, 4)),
+              records_digest(ref.records));
   }
 
   std::string dir_;
@@ -303,6 +359,134 @@ TEST_F(ResumeTest, StreamingConfigValidation) {
   c.xentry.transition_detection = false;
   c.collect_dataset = true;
   EXPECT_THROW(validate_campaign_config(c), std::invalid_argument);
+}
+
+TEST_F(ResumeTest, PartitionedRunsMatchOneRunUniform) {
+  expect_partitioned_runs_match(false);
+}
+
+TEST_F(ResumeTest, PartitionedRunsMatchOneRunImportance) {
+  expect_partitioned_runs_match(true);
+}
+
+TEST_F(ResumeTest, HeaderUnitsRoundTripAndGuardResumeIdentity) {
+  // A partitioned campaign's journal header records its unit assignment.
+  CampaignConfig cfg = make_cfg("w", 0, false);
+  cfg.fleet.unit_count = 4;
+  cfg.fleet.units = {0, 2};
+  cfg.streaming.abort_after = 20;  // leave a resumable journal behind
+  run_campaign(cfg);
+
+  const JournalContents j = read_journal(cfg.streaming.checkpoint_path);
+  ASSERT_TRUE(j.valid);
+  EXPECT_EQ(j.header.shards, 4);  // the unit space, not the active subset
+  EXPECT_EQ(j.header.units, (std::vector<int>{0, 2}));
+
+  // Resuming under a different unit assignment would splice streams from
+  // two different partitions — rejected like any identity mismatch.
+  CampaignConfig other = cfg;
+  other.streaming.abort_after = 0;
+  other.fleet.units = {0, 3};
+  EXPECT_THROW(run_campaign(other), std::invalid_argument);
+
+  // The correct assignment resumes fine.
+  cfg.streaming.abort_after = 0;
+  const CampaignResult res = run_campaign(cfg);
+  EXPECT_TRUE(res.resumed);
+}
+
+TEST_F(ResumeTest, UnpartitionedJournalHeaderHasNoUnits) {
+  // The "units" key is emitted only for partitioned campaigns: every
+  // other journal keeps the unpartitioned format byte for byte.
+  const CampaignConfig cfg = make_cfg("solo", 2, false);
+  run_campaign(cfg);
+  const JournalContents j = read_journal(cfg.streaming.checkpoint_path);
+  ASSERT_TRUE(j.valid);
+  EXPECT_TRUE(j.header.units.empty());
+  EXPECT_EQ(slurp(cfg.streaming.checkpoint_path).find("\"units\""),
+            std::string::npos);
+}
+
+TEST_F(ResumeTest, PartitionConfigValidation) {
+  const auto valid = [this] {
+    CampaignConfig cfg = make_cfg("v", 0, false);
+    cfg.streaming.checkpoint_path.clear();
+    cfg.fleet.unit_count = 4;
+    cfg.fleet.units = {1, 3};
+    return cfg;
+  };
+  EXPECT_NO_THROW(validate_campaign_config(valid()));
+
+  auto c = valid();
+  c.streaming.records_path.clear();  // units only exist as durable streams
+  EXPECT_THROW(validate_campaign_config(c), std::invalid_argument);
+
+  c = valid();
+  c.fleet.unit_count = 500;  // > injections: the unpartitioned run would
+  EXPECT_THROW(validate_campaign_config(c),  // clamp, breaking bit-identity
+               std::invalid_argument);
+
+  c = valid();
+  c.fleet.units.clear();
+  EXPECT_THROW(validate_campaign_config(c), std::invalid_argument);
+
+  c = valid();
+  c.fleet.units = {1, 4};  // out of range
+  EXPECT_THROW(validate_campaign_config(c), std::invalid_argument);
+
+  c = valid();
+  c.fleet.units = {1, 1};  // duplicate
+  EXPECT_THROW(validate_campaign_config(c), std::invalid_argument);
+
+  c = valid();
+  c.fleet.unit_count = 0;  // units without a unit space
+  EXPECT_THROW(validate_campaign_config(c), std::invalid_argument);
+}
+
+TEST_F(ResumeTest, CorruptJournalRngIsATypedError) {
+  // A shard that cannot parse its journaled RNG state throws inside its
+  // thread; run_campaign joins every shard and rethrows it to the caller.
+  auto cfg = make_cfg("rng", 2, false);
+  cfg.streaming.abort_after = 20;  // past the checkpoint at iteration 16
+  run_campaign(cfg);
+  const std::string path = cfg.streaming.checkpoint_path;
+  spit(path, replace_all(slurp(path), "\"main_rng\":\"",
+                         "\"main_rng\":\"x"));
+  ASSERT_TRUE(read_journal(path).valid);
+
+  cfg.streaming.abort_after = 0;
+  try {
+    run_campaign(cfg);
+    ADD_FAILURE() << "resume from a mangled RNG state must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("RNG"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(ResumeTest, SinkOffsetPastFileEndFailsClosed) {
+  // A journaled sink offset past the end of its shard file names records
+  // that were never written.  Resume must refuse it rather than
+  // zero-extend the file and continue.
+  auto cfg = make_cfg("off", 2, false);
+  cfg.streaming.abort_after = 20;
+  run_campaign(cfg);
+  const std::string path = cfg.streaming.checkpoint_path;
+  spit(path, replace_all(slurp(path), "\"sink_off\":", "\"sink_off\":9"));
+  const std::string shard0 = obs::ShardedFileSink::shard_path(
+      cfg.streaming.records_path, obs::RecordFormat::kJsonl, 0);
+  const std::string before = slurp(shard0);
+
+  cfg.streaming.abort_after = 0;
+  try {
+    run_campaign(cfg);
+    ADD_FAILURE() << "resume past the end of a shard file must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot open record sink"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(slurp(shard0), before) << "the shard file must be left as it was";
 }
 
 }  // namespace

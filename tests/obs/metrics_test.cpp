@@ -224,5 +224,27 @@ TEST(MetricsRegistryTest, MergeAdoptsMetricsAbsentOnOneSide) {
   EXPECT_EQ(a.find_histogram("h")->count(), 1u);
 }
 
+TEST(MedianTest, MedianOfSortedAndUnsorted) {
+  EXPECT_EQ(median({}), 0.0);
+  EXPECT_EQ(median({5.0}), 5.0);
+  EXPECT_EQ(median({3.0, 1.0, 2.0}), 2.0);
+  EXPECT_EQ(median({4.0, 1.0, 3.0, 2.0}), 2.5);
+}
+
+TEST(StragglerTest, FlagsBelowFractionOfMedian) {
+  const auto flags = flag_stragglers({10.0, 9.0, 2.0, 11.0}, 0.5);
+  EXPECT_EQ(flags, (std::vector<bool>{false, false, true, false}));
+}
+
+TEST(StragglerTest, EdgeCasesFlagNothing) {
+  // Disabled threshold, a lone shard, and all shards stuck (median 0)
+  // produce no straggler flags.
+  EXPECT_EQ(flag_stragglers({1.0, 100.0}, 0.0),
+            (std::vector<bool>{false, false}));
+  EXPECT_EQ(flag_stragglers({1.0}, 0.5), (std::vector<bool>{false}));
+  EXPECT_EQ(flag_stragglers({0.0, 0.0, 0.0}, 0.5),
+            (std::vector<bool>{false, false, false}));
+}
+
 }  // namespace
 }  // namespace xentry::obs

@@ -175,5 +175,18 @@ TEST_F(ShardedFileSinkTest, ResumeOfMissingFileFailsSafely) {
   EXPECT_EQ(sink.stats(0).dropped, 1u);
 }
 
+TEST_F(ShardedFileSinkTest, ResumePastFileEndFailsWithoutExtending) {
+  {
+    ShardedFileSink sink(file_opts(1));
+    sink.append(0, "line one\n");
+  }
+  // A journal offset past the end names bytes that never reached the
+  // file: the shard fails instead of zero-extending it.
+  ShardedFileSink sink(file_opts(1, {10}));
+  EXPECT_FALSE(sink.ok());
+  EXPECT_FALSE(sink.append(0, "dropped\n"));
+  EXPECT_EQ(slurp(sink_path(0)), "line one\n");
+}
+
 }  // namespace
 }  // namespace xentry::obs
